@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes are a stable contract:
-  0 found / all-pass, 1 nothing found, 2 parse error, 3 precondition
-  refused, 4 verification failure, 5 counterexample found, 6 budget
+  0 found / all-pass, 1 nothing found, 2 parse error or unreadable input
+  file, 3 precondition refused, 4 verification failure (a failed trial
+  or a failed runtime theorem check), 5 counterexample found, 6 budget
   exceeded.
 """
 
@@ -20,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     FlatkitError,
     GenerationError,
+    InternalInconsistencyError,
     MatrixParseError,
     UsageError,
 )
@@ -50,7 +52,12 @@ def _load_input(ref: str):
     """A positional input is a file path when it exists or looks like one,
     otherwise a catalog reference like `uniform:2,3`."""
     if os.path.exists(ref) or os.sep in ref or ref.endswith(".mat"):
-        return load_matrix(ref)
+        try:
+            return load_matrix(ref)
+        except OSError as exc:
+            raise MatrixParseError(f"cannot read {ref}: {exc.strerror or exc}")
+        except UnicodeDecodeError:
+            raise MatrixParseError(f"cannot read {ref}: not a text file")
     return cat.build_ref(ref)
 
 
@@ -322,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cols", type=int, default=None)
     v.add_argument("--conductor", type=int, default=1,
                    choices=cat.SUPPORTED_CONDUCTORS)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -331,10 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--trials", type=int, default=25)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--budget", type=float, default=DEFAULT_CLOSURE_BUDGET)
+    s.add_argument("--budget", type=int, default=DEFAULT_CLOSURE_BUDGET)
     s.add_argument("--conductor", type=int, default=1,
                    choices=cat.SUPPORTED_CONDUCTORS)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_search)
     return p
@@ -342,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "budget"):
-        args.budget = int(args.budget)
     try:
         return args.func(args)
     except MatrixParseError as exc:
@@ -355,6 +358,9 @@ def main(argv=None) -> int:
     except (UsageError, GenerationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
+    except InternalInconsistencyError as exc:
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

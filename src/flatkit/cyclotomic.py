@@ -235,7 +235,12 @@ _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(z(?:\^(\d+))?)?$")
 
 def parse_scalar(text: str, conductor: int) -> CyclotomicNumber:
     """Parse the scalar syntax; spaces are tolerated, the result is reduced
-    modulo Phi_n for the given conductor."""
+    modulo Phi_n for the given conductor.
+
+    Exponents are reduced mod n first, which is exact because zeta^n = 1,
+    so the work does not grow with the exponent."""
+    if conductor < 1:
+        raise ValueError("conductor must be a positive integer")
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ScalarParseError("empty scalar token")
@@ -255,6 +260,7 @@ def parse_scalar(text: str, conductor: int) -> CyclotomicNumber:
             deg = 1
         else:
             deg = int(m.group(4))
+        deg %= conductor
         coeffs[deg] = coeffs.get(deg, Fraction(0)) + sign * coeff
     poly = [Fraction(0)] * (max(coeffs) + 1)
     for deg, c in coeffs.items():

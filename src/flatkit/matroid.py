@@ -1,16 +1,16 @@
 """Matroids from exact representation matrices.
 
-A matroid is defined by a labeled matrix over Q(zeta_n); rank is exact
-column rank computed by pivoting Gaussian elimination over the field.
-Minors (restriction, contraction of flats) share the base matroid's rank
-cache through the contraction rank formula instead of materializing
-projected matrices.
+A matroid is a labeled matrix over Q(zeta_n).  Every rank question is
+answered by one exact routine: `_echelon` builds an echelon basis of a
+span over the field, and `_reduce` reduces a vector against it.  Minors
+are matrices too: a restriction keeps a subset of the columns, and
+contracting a flat projects its span out of the other columns.  Points
+(parallel classes) are read off a projective normal form of each column.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber, format_scalar, parse_scalar, zero
@@ -126,116 +126,111 @@ class Flat:
         return len(self.elements)
 
 
-def _column_rank(columns) -> int:
-    """Exact rank by Gaussian elimination, first-nonzero pivoting."""
-    if not columns:
-        return 0
-    mat = [list(col) for col in columns]  # one list per column
-    d = len(mat[0])
-    rank = 0
-    pivot_row = 0
-    for j in range(len(mat)):
-        col = mat[j]
-        piv = None
-        for i in range(pivot_row, d):
-            if col[i]:
-                piv = i
-                break
-        if piv is None:
+def _reduce(basis, vector) -> list:
+    """`vector` minus the combination of the echelon basis that clears
+    every pivot coordinate; the result is zero iff `vector` lies in the
+    span of the basis."""
+    v = list(vector)
+    for pivot, row in basis:
+        factor = v[pivot]
+        if factor:
+            for i, x in row:
+                v[i] = v[i] - factor * x
+    return v
+
+
+def _echelon(vectors) -> list:
+    """Echelon basis of the span of `vectors`, stopping at full row rank.
+
+    A basis is a list of (pivot, row) pairs.  Each row is a reduced
+    vector scaled so that its first nonzero coordinate, the pivot, is 1,
+    stored as the (index, entry) pairs of its nonzero coordinates; it is
+    zero at the pivots of the rows before it.  The length of the basis is
+    the rank of the span.
+    """
+    basis = []
+    for vector in vectors:
+        v = _reduce(basis, vector)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
             continue
-        if piv != pivot_row:
-            for c in mat[j:]:
-                c[piv], c[pivot_row] = c[pivot_row], c[piv]
-        inv = col[pivot_row].inv()
-        for c in mat[j + 1:]:
-            factor = c[pivot_row] * inv
-            if factor:
-                for i in range(pivot_row, d):
-                    c[i] = c[i] - factor * col[i]
-        rank += 1
-        pivot_row += 1
-        if pivot_row == d:
+        inv = v[pivot].inv()
+        basis.append((pivot, tuple((i, x * inv) for i, x in enumerate(v)
+                                   if x)))
+        if len(basis) == len(v):
             break
-    return rank
+    return basis
 
 
-class _Root:
-    """Shared state for a representation matroid: the matrix, its columns,
-    and a thread-safe rank memo keyed by frozen column-index sets."""
-
-    def __init__(self, rep: Representation):
-        self.rep = rep
-        self.columns = [rep.column(j) for j in range(rep.columns)]
-        self.index = {lbl: j for j, lbl in enumerate(rep.labels)}
-        self._cache: dict[frozenset, int] = {frozenset(): 0}
-        self._lock = threading.Lock()
-        self.rank_calls = 0  # cache misses, i.e. actual eliminations
-
-    def rank(self, idx: frozenset) -> int:
-        hit = self._cache.get(idx)
-        if hit is not None:
-            return hit
-        r = _column_rank([self.columns[j] for j in sorted(idx)])
-        with self._lock:
-            self._cache[idx] = r
-            self.rank_calls += 1
-        return r
+def _point_key(column):
+    """The column scaled by the field inverse of its first nonzero entry,
+    so that parallel columns get equal keys even when they differ by a
+    power of zeta; None for a zero column, which is a loop."""
+    lead = next((x for x in column if x), None)
+    if lead is None:
+        return None
+    inv = lead.inv()
+    return tuple(x * inv for x in column)
 
 
 class Matroid:
-    """A matroid on labeled elements, given by a representation or as a
-    minor (restriction / contraction-of-flat) of one."""
+    """The matroid of the columns of a Representation.
 
-    def __init__(self, rep: Representation = None, *, _root=None,
-                 _ground=None, _contracted=frozenset()):
-        if rep is not None:
-            _root = _Root(rep)
-            _ground = rep.labels
-        self._root = _root
-        self.ground: tuple[str, ...] = tuple(_ground)
-        self._contracted: frozenset = _contracted
-        self._ground_set = set(self.ground)
-        self._base_rank = self._root.rank(self._contracted)
+    Minors are matroids of derived matrices: a restriction keeps a
+    subset of the columns, and contracting a flat projects its span out
+    of the remaining columns.
+    """
+
+    def __init__(self, rep: Representation):
+        self._rep = rep
+        self.ground: tuple[str, ...] = rep.labels
+        self._ground_set = frozenset(self.ground)
+        self._columns = {lbl: rep.column(j) for j, lbl in enumerate(rep.labels)}
+        self._position = {lbl: j for j, lbl in enumerate(rep.labels)}
+        self._ranks: dict[frozenset, int] = {frozenset(): 0}
+        self._echelons = 0
+        self._points = {e: _point_key(col) for e, col in self._columns.items()}
 
     # -- basics ------------------------------------------------------------
 
     @property
     def conductor(self) -> int:
-        return self._root.rep.conductor
+        return self._rep.conductor
 
     @property
     def rank_calls(self) -> int:
-        return self._root.rank_calls
+        """Echelon bases built by this matroid; its minors count their own."""
+        return self._echelons
 
-    def _indices(self, labels) -> frozenset:
-        idx = set()
-        for lbl in labels:
-            if lbl not in self._ground_set:
-                raise UsageError(f"unknown element label {lbl!r}")
-            idx.add(self._root.index[lbl])
-        return frozenset(idx)
+    def _labels(self, labels) -> frozenset:
+        key = frozenset(labels)
+        if not key <= self._ground_set:
+            unknown = next(iter(key - self._ground_set))
+            raise UsageError(f"unknown element label {unknown!r}")
+        return key
 
     def _order(self, labels):
-        index = self._root.index
-        return tuple(sorted(labels, key=index.__getitem__))
+        return tuple(sorted(labels, key=self._position.__getitem__))
+
+    def _basis(self, labels):
+        """Echelon basis of the columns of `labels`, taken in ground order."""
+        self._echelons += 1
+        return _echelon([self._columns[e] for e in self._order(labels)])
 
     def rank(self, labels=None) -> int:
-        if labels is None:
-            labels = self.ground
-        idx = self._indices(labels)
-        return self._root.rank(idx | self._contracted) - self._base_rank
+        key = self._labels(self.ground if labels is None else labels)
+        r = self._ranks.get(key)
+        if r is None:
+            r = self._ranks[key] = len(self._basis(key))
+        return r
 
     def closure(self, labels) -> Flat:
-        labels = set(labels)
-        r = self.rank(labels)
-        idx = self._indices(labels) | self._contracted
-        closed = []
-        for lbl in self.ground:
-            if lbl in labels:
-                closed.append(lbl)
-            elif self._root.rank(idx | {self._root.index[lbl]}) - self._base_rank == r:
-                closed.append(lbl)
-        return Flat(tuple(closed), r)
+        key = self._labels(labels)
+        basis = self._basis(key)
+        self._ranks[key] = len(basis)
+        closed = tuple(e for e in self.ground if e in key
+                       or not any(_reduce(basis, self._columns[e])))
+        return Flat(closed, len(basis))
 
     def is_flat(self, labels) -> bool:
         cl = self.closure(labels)
@@ -251,7 +246,7 @@ class Matroid:
     # -- simplicity --------------------------------------------------------
 
     def loops(self) -> tuple[str, ...]:
-        return tuple(e for e in self.ground if self.rank([e]) == 0)
+        return tuple(e for e in self.ground if self._points[e] is None)
 
     def is_loopless(self) -> bool:
         return not self.loops()
@@ -260,22 +255,16 @@ class Matroid:
         """Partition of the non-loop elements into rank-1 closures (the
         points), each sorted in ground order; classes in order of first
         element.  `within` limits the partition to a subset."""
-        pool = self.ground if within is None else self._order(set(within))
-        pool_set = set(pool)
-        seen = set()
-        classes = []
+        pool = self.ground if within is None else self._order(
+            self._labels(within))
+        classes = {}
         for e in pool:
-            if e in seen or self.rank([e]) == 0:
-                continue
-            cls = tuple(f for f in self.closure([e]).elements
-                        if f in pool_set and self.rank([f]) == 1)
-            classes.append(cls)
-            seen.update(cls)
-        return classes
+            if self._points[e] is not None:
+                classes.setdefault(self._points[e], []).append(e)
+        return [tuple(cls) for cls in classes.values()]
 
     def is_simple(self) -> bool:
-        return self.is_loopless() and all(
-            len(c) == 1 for c in self.parallel_classes())
+        return len(self.parallel_classes()) == len(self.ground)
 
     def simplify(self):
         """Drop loops, keep the first element of each parallel class.
@@ -295,25 +284,33 @@ class Matroid:
     # -- minors ------------------------------------------------------------
 
     def restrict(self, labels) -> "Matroid":
-        keep = self._indices(labels)  # validates
-        ground = tuple(e for e in self.ground if self._root.index[e] in keep)
-        return Matroid(_root=self._root, _ground=ground,
-                       _contracted=self._contracted)
+        keep = self._labels(labels)
+        ground = tuple(e for e in self.ground if e in keep)
+        rows = tuple(tuple(row[self._position[e]] for e in ground)
+                     for row in self._rep.entries)
+        return Matroid(Representation(self.conductor, rows, ground))
 
     def contract(self, flat: Flat) -> "Matroid":
         """Contract a flat; the result is loopless when self is.
 
-        Only flats may be contracted; anything else raises.
+        Only flats may be contracted; anything else raises.  The span of
+        the flat is projected out of the other columns: each is reduced
+        against an echelon basis of the flat and loses the pivot
+        coordinates.
         """
         if not self.is_loopless():
             raise UsageError("contraction requires a loopless matroid")
-        if not self.is_flat(flat.elements):
+        key = self._labels(flat.elements)
+        basis = self._basis(key)
+        ground = tuple(e for e in self.ground if e not in key)
+        reduced = [_reduce(basis, self._columns[e]) for e in ground]
+        if not all(any(v) for v in reduced):
             raise ContractNonFlatError(
                 f"cannot contract non-flat {flat.elements}")
-        idx = self._indices(flat.elements)
-        ground = tuple(e for e in self.ground if e not in set(flat.elements))
-        return Matroid(_root=self._root, _ground=ground,
-                       _contracted=self._contracted | idx)
+        pivots = {pivot for pivot, _ in basis}
+        kept = [i for i in range(self._rep.rows) if i not in pivots]
+        rows = tuple(tuple(v[i] for v in reduced) for i in kept)
+        return Matroid(Representation(self.conductor, rows, ground))
 
     # -- flats -------------------------------------------------------------
 
@@ -335,27 +332,33 @@ class Matroid:
             return [self.closure([])]
         found = {}
         ground = self.ground
-        index = self._root.index
 
-        def grow(start, chosen):
+        # `residues` holds every column reduced against the echelon basis
+        # of the chosen elements, so one row extends the basis, a nonzero
+        # residue means independent, and a zero one means in the closure.
+        def grow(start, depth, residues):
             for i in range(start, len(ground)):
-                e = ground[i]
-                if self.rank(chosen + [e]) != len(chosen) + 1:
+                self._echelons += 1
+                step = _echelon([residues[ground[i]]])
+                if not step:
                     continue
-                if len(chosen) + 1 == k:
-                    counter[0] += 1
-                    if counter[0] > budget:
-                        raise BudgetExceededError(
-                            f"closure budget {budget} exceeded",
-                            stats={"closures": counter[0],
-                                   "flats_found": len(found)})
-                    fl = self.closure(chosen + [e])
-                    found.setdefault(fl.elements, fl)
-                else:
-                    grow(i + 1, chosen + [e])
+                if depth + 1 < k:
+                    grow(i + 1, depth + 1, {e: _reduce(step, v)
+                                            for e, v in residues.items()})
+                    continue
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise BudgetExceededError(
+                        f"closure budget {budget} exceeded",
+                        stats={"closures": counter[0],
+                               "flats_found": len(found)})
+                closed = tuple(e for e in ground
+                               if not any(_reduce(step, residues[e])))
+                found.setdefault(closed, Flat(closed, k))
 
-        grow(0, [])
-        key = lambda fl: tuple(index[e] for e in fl.elements)
+        grow(0, 0, self._columns)
+        position = self._position
+        key = lambda fl: tuple(position[e] for e in fl.elements)
         return sorted(found.values(), key=key)
 
     def is_direct_sum(self, f: Flat, f1: Flat, f2: Flat) -> bool:
@@ -370,33 +373,9 @@ class Matroid:
     # -- materialization ---------------------------------------------------
 
     def to_representation(self) -> Representation:
-        """Project out the contracted flat and keep the ground columns,
-        yielding a standalone representation of this minor.
-
-        Row-reduces with pivots restricted to the contracted columns, so
-        that their span becomes the first rank(C) coordinates, then drops
-        those coordinates from the ground columns.
-        """
-        root = self._root
-        cidx = sorted(self._contracted)
-        gidx = [root.index[e] for e in self.ground]
-        d = root.rep.rows
-        rows = [[root.columns[j][i] for j in cidx + gidx] for i in range(d)]
-        cur = 0
-        for j in range(len(cidx)):
-            piv = next((i for i in range(cur, d) if rows[i][j]), None)
-            if piv is None:
-                continue
-            rows[cur], rows[piv] = rows[piv], rows[cur]
-            inv = rows[cur][j].inv()
-            for i in range(cur + 1, d):
-                factor = rows[i][j] * inv
-                if factor:
-                    rows[i] = [a - factor * b
-                               for a, b in zip(rows[i], rows[cur])]
-            cur += 1
-        out = tuple(tuple(row[len(cidx):]) for row in rows[cur:])
-        return Representation(self.conductor, out, self.ground)
+        """The matrix this matroid is defined by; for a contraction, the
+        projected columns."""
+        return self._rep
 
 
 # ---------------------------------------------------------------------------

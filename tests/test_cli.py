@@ -146,3 +146,58 @@ def test_search_k1_rejected(capsys):
     code, _, _ = run(capsys, "search", "--conjecture", "1", "--k", "1",
                      "--trials", "1")
     assert code == 3
+
+
+def test_threads_option_removed(capsys):
+    for argv in (("verify", "--suite", "kelly", "--trials", "1"),
+                 ("search", "--conjecture", "2", "--k", "2", "--trials", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+
+
+def test_search_budget_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--conjecture", "2", "--k", "2", "--trials", "1",
+              "--budget", "1e400"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_missing_input_file_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", str(tmp_path / "nodir" / "missing.mat"))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: cannot read ")
+    assert err.count("\n") == 1
+
+
+def test_binary_input_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "noise.mat"
+    path.write_bytes(b"\xff\xfe\x00conductor")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and err.startswith("parse error: cannot read ")
+
+
+def test_internal_inconsistency_exit_4(capsys, monkeypatch):
+    from flatkit import cli
+    from flatkit.errors import InternalInconsistencyError
+
+    def broken(M):
+        raise InternalInconsistencyError("planted failure")
+
+    monkeypatch.setattr(cli, "find_two_point_line", broken)
+    code, _, err = run(capsys, "verify", "--suite", "kelly", "--trials", "1")
+    assert code == 4
+    assert "planted failure" in err and err.count("\n") == 1
+
+
+def test_huge_exponent_parses_mod_conductor(capsys, tmp_path):
+    path = tmp_path / "big.mat"
+    path.write_text("conductor 3\nsize 2 3\n"
+                    "1 z^1000000000000000000 z^1000000000000000003\n"
+                    "0 1 z^2000000000000000000\n")
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    # columns (1,0), (z,1), (z,z^2): rank 2, three distinct points
+    assert doc["rank"] == 2 and doc["points"] == 3

@@ -180,3 +180,13 @@ def test_parse_rejects_garbage():
     for bad in ["", "z^", "1//2", "q", "+", "1+*z"]:
         with pytest.raises(ScalarParseError):
             parse_scalar(bad, 3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_exponent_reduced_mod_conductor(n):
+    # oracle: repeated multiplication by zeta
+    power = one(n)
+    for k in range(3 * n + 1):
+        assert parse_scalar(f"z^{k}", n) == power
+        assert parse_scalar(f"2z^{10**18 * n + k}", n) == num(2, n) * power
+        power = power * zeta(n)
