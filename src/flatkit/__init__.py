@@ -1,16 +1,14 @@
 """Exact-arithmetic search for ordinary and elementary flats of matroids
 represented over cyclotomic subfields of the complex numbers."""
 
-from .cyclotomic import CyclotomicNumber, Rational, format_scalar, parse_scalar
+from .cyclotomic import CyclotomicNumber, format_scalar, parse_scalar
 from .matroid import (
     Flat,
     Matroid,
     Representation,
     direct_sum,
-    lift_conductor,
     load_matrix,
     parse_matrix,
-    relabel,
     representation_from_rows,
     save_matrix,
     write_matrix,

@@ -1,4 +1,5 @@
-"""Named constructions and the seeded random instance generator.
+"""Named constructions, the seeded random instance generator and the
+seeded trial stream the verification and search drivers draw from.
 
 Each catalog entry carries certified facts that the test suite re-derives
 with the brute-force oracles.
@@ -10,13 +11,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, euler_phi
 from .errors import GenerationError, UsageError
 from .matroid import (
     Matroid,
     Representation,
     direct_sum,
-    lift_conductor,
     prefix_labels,
     representation_from_rows,
 )
@@ -58,30 +58,29 @@ def motzkin() -> Representation:
     return direct_sum(a, b)
 
 
-def ag23_power(t: int) -> Representation:
-    """t-fold direct sum of AG(2,3): rank 3t, no elementary rank-(t+1) flat."""
-    if t < 1:
-        raise UsageError("ag23_power requires t >= 1")
-    base = ag23()
+def _direct_power(base: Representation, t: int) -> Representation:
+    """t-fold direct sum of base; copy i is labelled c<i>.<label>, and
+    base itself is returned unchanged when t = 1."""
     if t == 1:
         return base
     out = prefix_labels(base, "c1.")
     for i in range(2, t + 1):
         out = direct_sum(out, prefix_labels(base, f"c{i}."))
     return out
+
+
+def ag23_power(t: int) -> Representation:
+    """t-fold direct sum of AG(2,3): rank 3t, no elementary rank-(t+1) flat."""
+    if t < 1:
+        raise UsageError("ag23_power requires t >= 1")
+    return _direct_power(ag23(), t)
 
 
 def uniform_power(r: int, n: int, t: int) -> Representation:
     """t-fold direct sum of U_{r,n} (the Bonnice-Edelstein line sums)."""
     if t < 1:
         raise UsageError("uniform_power requires t >= 1")
-    base = uniform(r, n)
-    if t == 1:
-        return base
-    out = prefix_labels(base, "c1.")
-    for i in range(2, t + 1):
-        out = direct_sum(out, prefix_labels(base, f"c{i}."))
-    return out
+    return _direct_power(uniform(r, n), t)
 
 
 SUPPORTED_CONDUCTORS = (1, 3, 4)
@@ -96,7 +95,8 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
         raise UsageError("need at least as many columns as rows")
     if conductor not in SUPPORTED_CONDUCTORS:
         raise UsageError(f"conductor must be one of {SUPPORTED_CONDUCTORS}")
-    from .cyclotomic import euler_phi
+    if bound < 1:
+        raise UsageError(f"bound must be at least 1, got {bound}")
     phi = euler_phi(conductor)
     rng = random.Random(seed)
 
@@ -114,6 +114,21 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
             return rep
     raise GenerationError(
         f"no simple rank-{d} instance after {max_tries} tries")
+
+
+def trial_instances(rank: int, trials: int, seed: int, conductor: int,
+                    cols: tuple[int, int]):
+    """Seeded stream of (trial seed, instance) for `trials` trials.
+
+    Trial i gets its own seed s, a fixed function of seed and i, and the
+    instance random_instance(rank, m, conductor, seed=s) with
+    m = lo + Random(s).randint(0, hi - lo) for cols = (lo, hi); lo = hi
+    fixes the column count."""
+    lo, hi = cols
+    for i in range(trials):
+        s = seed * 1000003 + i
+        m = lo + random.Random(s).randint(0, hi - lo)
+        yield s, random_instance(rank, m, conductor, seed=s)
 
 
 @dataclass(frozen=True)
@@ -144,7 +159,7 @@ ENTRIES = {
         ("rank r*t", "block sum of uniform matroids")),
     "random": CatalogEntry(
         "random", "d,m,conductor,seed[,bound]", random_instance,
-        ("simple", "rank d", "deterministic per seed")),
+        ("simple", "rank d", "reproducible per seed")),
 }
 
 

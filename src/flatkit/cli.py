@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
@@ -71,7 +70,10 @@ def cmd_catalog(args) -> int:
     if args.export:
         ref, path = args.export
         rep = cat.build_ref(ref)
-        save_matrix(rep, path)
+        try:
+            save_matrix(rep, path)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
         _print(f"wrote {ref} to {path}")
         return EXIT_FOUND
     _print(f"{'name':<14} {'params':<24} certified facts")
@@ -142,7 +144,7 @@ def _emit_find(args, payload):
     if w.get("point"):
         _print(f"  point:      {{{', '.join(w['point'])}}}")
         _print(f"  complement: {{{', '.join(w['complement'])}}}")
-    if payload.get("trace") and not args.json:
+    if payload.get("trace"):
         for lv in payload["trace"]["levels"]:
             _print(f"  level k={lv['k']}: x={lv['x']} y={lv['y']} "
                    f"z={lv['z']} w={lv['w']} output={lv['output']}")
@@ -189,6 +191,7 @@ SUITE_RANK = {
     "main-theorem": lambda k: 4 * (k - 1),
     "corollary": lambda k: 4 ** (k - 1),
 }
+SUITE_MIN_K = {"kelly": 2, "main-theorem": 2, "corollary": 1}
 
 
 def _verify_trial(suite, rep, M, k):
@@ -213,18 +216,15 @@ def cmd_verify(args) -> int:
         k = 2
     elif k is None:
         raise UsageError(f"--k is required for suite {args.suite}")
+    if k < SUITE_MIN_K[args.suite]:
+        raise UsageError(
+            f"{args.suite} suite needs k >= {SUITE_MIN_K[args.suite]}")
     rank = SUITE_RANK[args.suite](k)
-    if args.suite == "main-theorem" and k < 2:
-        raise UsageError("main-theorem suite needs k >= 2")
+    cols = (args.cols, args.cols) if args.cols else (rank + 4, rank + 6)
     reports = []
     failures = []
-    for i in range(args.trials):
-        s = args.seed * 1000003 + i
-        if args.cols:
-            m = args.cols
-        else:
-            m = rank + 4 + random.Random(s).randint(0, 2)
-        rep = cat.random_instance(rank, m, args.conductor, seed=s)
+    for s, rep in cat.trial_instances(rank, args.trials, args.seed,
+                                      args.conductor, cols):
         M = Matroid(rep)
         t0 = time.perf_counter()
         before = M.rank_calls
@@ -240,8 +240,7 @@ def cmd_verify(args) -> int:
     if args.json:
         doc = {"suite": args.suite, "k": k, "trials": args.trials,
                "seed": args.seed, "conductor": args.conductor,
-               "reports": [r.to_json_dict(deterministic=True)
-                           for r in reports]}
+               "reports": [r.to_json_dict() for r in reports]}
         _print(json.dumps(doc))
     else:
         passed = sum(1 for r in reports if r.outcome == "witness found")
@@ -265,7 +264,7 @@ def cmd_search(args) -> int:
     report = search_conjecture_counterexample(
         stream, args.conjecture, args.k, budget=args.budget)
     if args.json:
-        _print(json.dumps(report.to_json_dict(deterministic=True)))
+        _print(json.dumps(report.to_json_dict()))
     else:
         _print(f"conjecture {args.conjecture}, k={args.k}, "
                f"rank {report.rank}: {report.mode} / {report.outcome} "

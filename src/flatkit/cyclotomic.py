@@ -14,8 +14,6 @@ from functools import lru_cache
 
 from .errors import ConductorMismatchError, ScalarParseError
 
-Rational = Fraction  # canonical form (positive denominator, reduced) is built in
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers, little-endian coefficient lists over Fraction
@@ -82,6 +80,7 @@ def _poly_ext_gcd(a, b):
     return r0, s0, t0
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     count = 0
     for k in range(1, n + 1):
@@ -170,9 +169,6 @@ class CyclotomicNumber:
         assert g == [Fraction(1)], "cyclotomic polynomial not coprime to element"
         return CyclotomicNumber(self.conductor, s)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def __eq__(self, other):
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -183,12 +179,6 @@ class CyclotomicNumber:
 
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self
-
-    def is_one(self) -> bool:
-        return self == one(self.conductor)
 
     def __repr__(self):
         return f"CyclotomicNumber({self.conductor}, {format_scalar(self)!r})"

@@ -24,6 +24,11 @@ from .errors import (
 
 DEFAULT_CLOSURE_BUDGET = 10**7
 
+# Largest conductor a matrix file may declare.  Field arithmetic slows
+# steeply with phi(n): `analyze` of a dense 4x8 file took about 1 s at
+# n = 23 and 11 s at n = 37 (2-vCPU VM, Python 3.11).
+MAX_FILE_CONDUCTOR = 24
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -72,25 +77,19 @@ def representation_from_rows(rows, conductor: int, labels=None) -> Representatio
     return Representation(conductor, tuple(ent), tuple(labels))
 
 
-def relabel(rep: Representation, labels) -> Representation:
-    labels = tuple(labels)
-    if len(labels) != rep.columns:
-        raise UsageError("wrong number of labels")
-    return Representation(rep.conductor, rep.entries, labels)
-
-
 def prefix_labels(rep: Representation, prefix: str) -> Representation:
-    return relabel(rep, tuple(prefix + lbl for lbl in rep.labels))
+    return Representation(rep.conductor, rep.entries,
+                          tuple(prefix + lbl for lbl in rep.labels))
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
-    """Block-diagonal sum; conductors must already agree (lift with
-    cyclo embedding first if needed) and labels must be disjoint."""
+    """Block-diagonal sum; conductors must agree and labels must be
+    disjoint."""
     if a.conductor != b.conductor:
         raise ConductorMismatchError(
             f"direct sum of conductors {a.conductor} and {b.conductor}")
     if set(a.labels) & set(b.labels):
-        raise UsageError("direct summands share labels; relabel first")
+        raise UsageError("direct summands share labels; prefix them first")
     z = zero(a.conductor)
     rows = []
     for row in a.entries:
@@ -98,18 +97,6 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     for row in b.entries:
         rows.append((z,) * a.columns + row)
     return Representation(a.conductor, tuple(rows), a.labels + b.labels)
-
-
-def lift_conductor(rep: Representation, conductor: int) -> Representation:
-    """Re-embed a rational (conductor-1) representation into Q(zeta_n)."""
-    if rep.conductor == conductor:
-        return rep
-    if rep.conductor != 1:
-        raise UsageError("can only lift from the rationals")
-    rows = tuple(
-        tuple(CyclotomicNumber(conductor, x.coeffs) for x in row)
-        for row in rep.entries)
-    return Representation(conductor, rows, rep.labels)
 
 
 @dataclass(frozen=True)
@@ -402,6 +389,10 @@ def parse_matrix(text: str) -> Representation:
     conductor = int(parts[1])
     if conductor < 1:
         raise MatrixParseError("conductor must be positive", line=lineno)
+    if conductor > MAX_FILE_CONDUCTOR:
+        raise MatrixParseError(
+            f"conductor {conductor} exceeds the maximum {MAX_FILE_CONDUCTOR}",
+            line=lineno)
     lineno, second = lines[1]
     parts = second.split()
     if len(parts) != 3 or parts[0] != "size":

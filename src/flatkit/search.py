@@ -1,10 +1,10 @@
 """Ordinary and elementary flat search.
 
 Contains the two-point-line witness finder, the ordinary/elementary
-predicates, brute-force oracles over flat slices, the constructive
-recursion that finds an ordinary rank-k flat whenever the rank is at
-least 4(k-1), the elementary-flat induction on top of it, and the
-randomized conjecture-counterexample driver.
+predicates, brute-force oracles over flat slices (one scan, two
+predicates), the constructive recursion that finds an ordinary rank-k
+flat whenever the rank is at least 4(k-1), the elementary-flat induction
+on top of it, and the randomized conjecture-counterexample driver.
 
 Every step of the constructive recursion that the underlying argument
 takes for granted is re-checked at runtime; a failed check raises
@@ -14,11 +14,10 @@ for representable input it can only mean a toolkit bug.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
-from .catalog import random_instance
+from .catalog import trial_instances
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -94,7 +93,9 @@ class SearchReport:
     stats: SearchStats = field(default_factory=SearchStats)
     instance: Representation = None  # set for counterexample reports
 
-    def to_json_dict(self, deterministic: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
+        """The report as a JSON document.  `ms` is written as 0.0 so that
+        the document is a pure function of the inputs."""
         w = self.witness
         if w is None:
             wd = None
@@ -115,7 +116,7 @@ class SearchReport:
             "stats": {
                 "rank_calls": self.stats.rank_calls,
                 "flats_enumerated": self.stats.flats_enumerated,
-                "ms": 0.0 if deterministic else round(self.stats.ms, 3),
+                "ms": 0.0,
             },
         }
 
@@ -178,40 +179,40 @@ def is_elementary(M: Matroid, F: Flat) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def find_ordinary_flat_brute(M: Matroid, k: int,
-                             budget: int = DEFAULT_CLOSURE_BUDGET,
-                             counter=None):
-    """First ordinary flat in the canonical rank-k slice, with witness."""
+def _scan_slice(M, k, budget, counter, test):
+    """First (flat, test(flat)) in the canonical rank-k slice with a
+    truthy test result, or None."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
     if not (1 <= k <= M.rank()):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
     for fl in M.flats_of_rank(k, budget=budget, counter=counter):
-        w = is_ordinary(M, fl)
-        if w is not None:
-            return fl, w
+        hit = test(fl)
+        if hit:
+            return fl, hit
     return None
+
+
+def find_ordinary_flat_brute(M: Matroid, k: int,
+                             budget: int = DEFAULT_CLOSURE_BUDGET,
+                             counter=None):
+    """First ordinary flat in the canonical rank-k slice, with witness."""
+    return _scan_slice(M, k, budget, counter, lambda fl: is_ordinary(M, fl))
 
 
 def find_elementary_flat_brute(M: Matroid, k: int,
                                budget: int = DEFAULT_CLOSURE_BUDGET,
                                counter=None):
     """First elementary flat in the canonical rank-k slice, or None."""
-    if not M.is_simple():
-        raise UsageError("brute search requires a simple matroid")
-    if not (1 <= k <= M.rank()):
-        raise UsageError(f"k={k} out of range 1..{M.rank()}")
-    for fl in M.flats_of_rank(k, budget=budget, counter=counter):
-        if is_elementary(M, fl):
-            return fl
-    return None
+    got = _scan_slice(M, k, budget, counter,
+                      lambda fl: is_elementary(M, fl))
+    return got[0] if got else None
 
 
 # ---------------------------------------------------------------------------
 # the constructive search
 
-def find_ordinary_flat_constructive(M: Matroid, k: int,
-                                    strategy: str = "enumerate"):
+def find_ordinary_flat_constructive(M: Matroid, k: int):
     """Find an ordinary rank-k flat of a simple matroid with rank at
     least 4(k-1), returning (flat, witness, trace).
 
@@ -228,14 +229,12 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
         raise UsageError(
             f"rank {M.rank()} below 4(k-1) = {4 * (k - 1)}; "
             "only the brute oracle handles that range")
-    if strategy not in ("enumerate", "greedy"):
-        raise UsageError(f"unknown strategy {strategy!r}")
     trace = ConstructionTrace()
-    flat, witness = _constructive(M, k, strategy, trace)
+    flat, witness = _constructive(M, k, trace)
     return flat, witness, trace
 
 
-def _constructive(M, k, strategy, trace):
+def _constructive(M, k, trace):
     if k == 2:
         line = find_two_point_line(M)
         _require(line is not None,
@@ -247,7 +246,7 @@ def _constructive(M, k, strategy, trace):
         return line, witness
 
     t = 4 * (k - 2)
-    # greedy basis prefix in ground order spans the contraction flat
+    # the first basis prefix in ground order spans the contraction flat
     basis = []
     for e in M.ground:
         if M.rank(basis + [e]) == len(basis) + 1:
@@ -281,7 +280,7 @@ def _constructive(M, k, strategy, trace):
     N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
     _require(N2s.rank() == t, "contracted restriction has wrong rank", trace)
-    sub_flat, sub_witness = _constructive(N2s, k - 1, strategy, trace)
+    sub_flat, sub_witness = _constructive(N2s, k - 1, trace)
 
     # lift through the parallel-class quotient back to the contraction
     p_reps = set(sub_witness.point.elements)
@@ -321,7 +320,7 @@ def _constructive(M, k, strategy, trace):
     if w == y:
         x, y = y, x  # so that {x,z} is the two-point line
 
-    f_prime = _choose_f_prime(N, K, x, y, k, strategy)
+    f_prime = _choose_f_prime(N, K, x, y, k)
     _require(f_prime is not None,
              "no rank-(k-1) flat in K containing x but not y", trace)
 
@@ -339,33 +338,14 @@ def _constructive(M, k, strategy, trace):
     return out, witness
 
 
-def _choose_f_prime(N, K, x, y, k, strategy):
-    """A rank-(k-1) flat inside the rank-k flat K containing x but not y.
-
-    "enumerate" scans the full (small) slice and takes the canonically
-    least hit; "greedy" grows an independent set from x through K and is
-    kept as a cross-check."""
+def _choose_f_prime(N, K, x, y, k):
+    """The canonically least rank-(k-1) flat inside the rank-k flat K
+    that contains x but not y, found by scanning K's (small) slice."""
     NK = N.restrict(K.elements)
-    if strategy == "enumerate":
-        for fl in NK.flats_of_rank(k - 1):
-            if x in fl.elements and y not in fl.elements:
-                return fl
-        return None
-    pool = [e for e in NK.ground if e not in (x, y)]
-
-    def grow(start, chosen):
-        if len(chosen) == k - 1:
-            fl = NK.closure(chosen)
-            return fl if y not in fl.elements else None
-        for i in range(start, len(pool)):
-            e = pool[i]
-            if NK.rank(chosen + [e]) == len(chosen) + 1:
-                got = grow(i + 1, chosen + [e])
-                if got is not None:
-                    return got
-        return None
-
-    return grow(0, [x])
+    for fl in NK.flats_of_rank(k - 1):
+        if x in fl.elements and y not in fl.elements:
+            return fl
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +392,13 @@ CONJECTURE_RANK = {1: lambda k: k + 2, 2: lambda k: 3 * (k - 1) + 1}
 
 
 def conjecture_instances(conjecture: int, k: int, trials: int, seed: int,
-                         conductor: int = 1, cols=None, bound: int = 10):
+                         conductor: int = 1, cols=None):
     """Seeded stream of (trial seed, Representation) at exactly the rank
-    the conjecture demands."""
+    the conjecture demands, with rank+2 to rank+4 columns unless `cols`
+    gives the range."""
     rank = CONJECTURE_RANK[conjecture](k)
-    lo, hi = cols if cols else (rank + 2, rank + 4)
-    for i in range(trials):
-        s = seed * 1000003 + i
-        m = lo + random.Random(s).randint(0, hi - lo)
-        yield s, random_instance(rank, m, conductor, seed=s, bound=bound)
+    yield from trial_instances(rank, trials, seed, conductor,
+                               cols or (rank + 2, rank + 4))
 
 
 def search_conjecture_counterexample(instances, conjecture: int, k: int,

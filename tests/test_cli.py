@@ -1,10 +1,21 @@
 """CLI behavior: subcommands, exit codes, machine output."""
 
+import contextlib
+import io
 import json
+import os
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flatkit import cli
+from flatkit.catalog import ENTRIES, ag23, motzkin, random_instance, uniform
 from flatkit.cli import main
+from flatkit.matroid import write_matrix
 
 
 def run(capsys, *argv):
@@ -201,3 +212,171 @@ def test_huge_exponent_parses_mod_conductor(capsys, tmp_path):
     doc = json.loads(out)
     # columns (1,0), (z,1), (z,z^2): rank 2, three distinct points
     assert doc["rank"] == 2 and doc["points"] == 3
+
+
+def test_file_conductor_above_bound_exit_2(capsys, tmp_path):
+    path = tmp_path / "wide.mat"
+    path.write_text("conductor 1000003\nsize 1 1\n1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: conductor 1000003") and "line 1" in err
+
+
+def test_catalog_export_unwritable_path_exit_3(capsys, tmp_path):
+    path = tmp_path / "nodir" / "x.mat"
+    code, out, err = run(capsys, "catalog", "--export", "ag23", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+
+def test_random_ref_bound_below_1_exit_3(capsys):
+    code, _, err = run(capsys, "analyze", "random:4,8,1,0,0")
+    assert code == 3 and err.startswith("error: bound must be at least 1")
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_verify_corollary_k_below_1_exit_3(capsys, monkeypatch, k):
+    monkeypatch.setattr(cli.cat, "random_instance", None)  # nothing drawn
+    code, _, err = run(capsys, "verify", "--suite", "corollary", "--k", k)
+    assert code == 3 and "corollary suite needs k >= 1" in err
+
+
+def test_verify_corollary_k1_cols1(capsys):
+    code, _, _ = run(capsys, "verify", "--suite", "corollary", "--k", "1",
+                     "--cols", "1", "--trials", "2")
+    assert code == 0
+
+
+@pytest.mark.parametrize("cols", [None, "7"])
+def test_verify_instance_stream(capsys, monkeypatch, cols):
+    # trial i has seed s = seed * 1000003 + i and draws
+    # random_instance(rank, m, conductor, seed=s), with m = --cols or
+    # rank + 4 + Random(s).randint(0, 2)
+    seen = []
+
+    def record(suite, rep, M, k):
+        seen.append(rep)
+        return None, True
+
+    monkeypatch.setattr(cli, "_verify_trial", record)
+    argv = ["verify", "--suite", "kelly", "--trials", "4", "--seed", "5",
+            "--conductor", "3", "--json"] + (["--cols", cols] if cols else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    seeds = [5 * 1000003 + i for i in range(4)]
+    assert [r["seed"] for r in json.loads(out)["reports"]] == seeds
+    expected = []
+    for s in seeds:
+        m = int(cols) if cols else 4 + 4 + random.Random(s).randint(0, 2)
+        expected.append(random_instance(4, m, 3, seed=s))
+    assert seen == expected
+
+
+# -- fuzz: every argv and input file ends in a documented exit code ----------
+# Catalog parameters stay in -2..4 and every flat enumeration gets a small
+# --budget only to bound the runtime; larger sizes are not exercised.
+
+SMALL_INTS = ["-2", "-1", "0", "1", "2", "3", "4"]
+MATRIX_FILE = "in.mat"
+BASE_TEXTS = [write_matrix(rep) for rep in (
+    ag23(), motzkin(), uniform(3, 5), random_instance(3, 6, 4, seed=1))]
+PIECES = ["", "0", "1", "7", "-", "/", "/0", "z", "^", "^99", " ", "\n",
+          "x", "labels a", "size", "conductor", "9999999999", "\x00"]
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(
+        lambda v: [flag, v]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+catalog_refs = st.builds(
+    lambda name, toks: name if toks is None else f"{name}:{','.join(toks)}",
+    st.sampled_from([*ENTRIES, "nope", ""]),
+    st.none() | st.lists(st.sampled_from(SMALL_INTS + ["", "x", "1.5"]),
+                         max_size=6))
+budgets = st.sampled_from(["-1", "0", "1", "2", "50", "1e400", "x"]).map(
+    lambda v: ["--budget", v])
+k_values = SMALL_INTS[:-1] + ["x", ""]
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(["catalog", "analyze", "find-ordinary",
+                                "find-elementary", "verify", "search",
+                                "bogus"]))
+    parts = [[cmd]]
+    if cmd == "catalog":
+        parts.append(st.one_of(st.just([]), st.tuples(
+            catalog_refs,
+            st.sampled_from(["out.mat", "nodir/out.mat", ".", ""])).map(
+                lambda t: ["--export", *t])))
+    elif cmd in ("analyze", "find-ordinary", "find-elementary"):
+        parts.append(st.one_of(catalog_refs, st.just(MATRIX_FILE)).map(
+            lambda ref: [ref]))
+        parts.append(budgets)
+        parts.append(_flag("--json"))
+        if cmd == "analyze":
+            parts += [_opt("--flats", k_values), _flag("--simple"),
+                      _flag("--summary")]
+        else:
+            parts.append(_opt("--k", k_values))
+        if cmd == "find-ordinary":
+            parts += [_opt("--method", ["brute", "constructive", "x"]),
+                      _flag("--trace")]
+    elif cmd in ("verify", "search"):
+        if cmd == "verify":
+            parts += [_opt("--suite",
+                           ["kelly", "main-theorem", "corollary", "x"]),
+                      _opt("--cols", ["-1", "0", "1", "2", "5", "x"])]
+        else:
+            parts += [_opt("--conjecture", ["0", "1", "2", "3"]), budgets]
+        parts += [_opt("--k", k_values),
+                  _opt("--trials", ["-1", "0", "1", "2", "x"]),
+                  _opt("--seed", ["-5", "0", "7", "99999999999999999999"]),
+                  _opt("--conductor", ["0", "1", "2", "3", "4", "x"]),
+                  _flag("--json")]
+    parts.append(st.sampled_from([[], [], ["--bogus"], ["--help"]]))
+    return [a for part in parts
+            for a in (part if isinstance(part, list) else draw(part))]
+
+
+@st.composite
+def matrix_texts(draw):
+    text = draw(st.sampled_from(BASE_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(PIECES)) + text[j:]
+    return text
+
+
+def exit_code(argv):
+    """main(argv) with its output discarded; argparse's exit counts."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@example(["catalog", "--export", "ag23", "nodir/x.mat"], "")
+@example(["analyze", "random:4,8,1,0,0"], "")
+@example(["verify", "--suite", "corollary", "--k", "0"], "")
+@example(["verify", "--suite", "corollary", "--k", "-1"], "")
+@given(cli_argv(), matrix_texts())
+def test_cli_fuzz_documented_exit_codes(argv, text):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the CLI writes exports and failure dumps here
+        try:
+            Path(MATRIX_FILE).write_text(text)
+            code = exit_code(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in range(7), (argv, code)

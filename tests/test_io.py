@@ -4,7 +4,7 @@ import pytest
 
 from flatkit.catalog import ag23, motzkin, random_instance, uniform
 from flatkit.errors import MatrixParseError
-from flatkit.matroid import parse_matrix, write_matrix
+from flatkit.matroid import MAX_FILE_CONDUCTOR, parse_matrix, write_matrix
 
 
 @pytest.mark.parametrize("rep", [
@@ -52,3 +52,11 @@ def test_parse_wrong_entry_count():
 def test_parse_label_count_mismatch():
     with pytest.raises(MatrixParseError):
         parse_matrix("conductor 1\nsize 1 2\nlabels a\n1 2\n")
+
+
+def test_conductor_bound():
+    top = parse_matrix(f"conductor {MAX_FILE_CONDUCTOR}\nsize 1 2\n1 z\n")
+    assert top.conductor == MAX_FILE_CONDUCTOR
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(f"\nconductor {MAX_FILE_CONDUCTOR + 1}\nsize 1 2\n1 z\n")
+    assert exc.value.line == 2

@@ -1,6 +1,7 @@
 """Ordinary/elementary predicates, oracles, and the constructive search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -178,10 +179,9 @@ def test_constructive_k4_line_sum():
 
 def test_constructive_strategies_agree_on_success():
     rep = random_instance(8, 13, 1, seed=19)
-    for strategy in ("enumerate", "greedy"):
-        M = Matroid(rep)
-        flat, w, _ = find_ordinary_flat_constructive(M, 3, strategy=strategy)
-        assert is_ordinary(M, flat) is not None
+    M = Matroid(rep)
+    flat, w, _ = find_ordinary_flat_constructive(M, 3)
+    assert is_ordinary(M, flat) is not None
 
 
 @pytest.mark.parametrize("k,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
@@ -259,6 +259,17 @@ def test_elementary_implies_ordinary():
 
 # -- conjecture search -------------------------------------------------------
 
+def test_conjecture_instance_stream():
+    # trial i has seed s = seed * 1000003 + i and draws
+    # random_instance(rank, rank + 2 + Random(s).randint(0, 2), c, seed=s)
+    got = list(conjecture_instances(2, 2, trials=3, seed=9, conductor=3))
+    seeds = [9 * 1000003 + i for i in range(3)]
+    assert [s for s, _ in got] == seeds
+    assert [rep for _, rep in got] == [
+        random_instance(4, 6 + random.Random(s).randint(0, 2), 3, seed=s)
+        for s in seeds]
+
+
 def test_conjecture1_k2_verify_pass():
     stream = conjecture_instances(1, 2, trials=10, seed=4)
     report = search_conjecture_counterexample(stream, 1, 2)
@@ -291,7 +302,7 @@ def test_under_rank_instance_rejected():
 def test_report_serialization_shape():
     stream = conjecture_instances(1, 2, trials=3, seed=8)
     report = search_conjecture_counterexample(stream, 1, 2)
-    doc = report.to_json_dict(deterministic=True)
+    doc = report.to_json_dict()
     assert list(doc) == ["mode", "seed", "conductor", "rank", "k",
                          "outcome", "witness", "stats"]
     assert doc["stats"]["ms"] == 0.0
