@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber, euler_phi
-from .errors import GenerationError, UsageError
+from .errors import GenerationError, UnsatisfiableShapeError, UsageError
 from .matroid import (
     Matroid,
     Representation,
@@ -90,7 +90,13 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
                     bound: int = 10, max_tries: int = 1000) -> Representation:
     """Seeded d x m representation, rejection-sampled until simple and of
     full rank d; basis coordinates are rationals with |num| <= bound and
-    1 <= den <= bound."""
+    1 <= den <= bound.  A shape no simple matroid has (a negative rank,
+    rank 0 with an element, rank 1 with two) is refused before any draw."""
+    if d < 0:
+        raise UnsatisfiableShapeError(f"rank must be at least 0, got {d}")
+    if d < 2 and m > d:
+        raise UnsatisfiableShapeError(
+            f"rank {d} with m={m} columns can never be simple")
     if d > m:
         raise UsageError("need at least as many columns as rows")
     if conductor not in SUPPORTED_CONDUCTORS:

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,7 +229,12 @@ def cmd_verify(args) -> int:
         M = Matroid(rep)
         t0 = time.perf_counter()
         before = M.rank_calls
-        witness, ok = _verify_trial(args.suite, rep, M, k)
+        try:
+            witness, ok = _verify_trial(args.suite, rep, M, k)
+        except InternalInconsistencyError as exc:
+            # a failed theorem check ends the run; leave what replays it
+            _dump_failure(args.suite, k, s, rep, exc.trace)
+            raise
         stats = SearchStats(rank_calls=M.rank_calls - before,
                             ms=(time.perf_counter() - t0) * 1000)
         reports.append(SearchReport(
@@ -250,10 +256,21 @@ def cmd_verify(args) -> int:
                    f"{r.stats.ms:.0f} ms)")
         _print(f"{passed}/{args.trials} pass")
     for s, rep in failures:
-        path = f"failure-{args.suite}-k{k}-seed{s}.mat"
-        save_matrix(rep, path)
-        _print(f"dumped failing instance to {path}")
+        _dump_failure(args.suite, k, s, rep)
     return EXIT_VERIFY_FAIL if failures else EXIT_FOUND
+
+
+def _dump_failure(suite, k, seed, rep, trace=None):
+    """Write the instance of a failed trial to the working directory, and
+    beside it the construction trace of a failed theorem check when it
+    carries one."""
+    stem = f"failure-{suite}-k{k}-seed{seed}"
+    save_matrix(rep, stem + ".mat")
+    _print(f"dumped failing instance to {stem}.mat")
+    if trace is not None:
+        with open(stem + ".trace.json", "w") as fh:
+            json.dump(trace.to_json_dict(), fh)
+        _print(f"dumped construction trace to {stem}.trace.json")
 
 
 def cmd_search(args) -> int:
@@ -344,8 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs more
+    than a parse, and `main` may run many times in one process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MatrixParseError as exc:

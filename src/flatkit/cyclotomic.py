@@ -4,6 +4,13 @@ Elements are stored as coordinate vectors in the power basis
 1, zeta, ..., zeta^(phi(n)-1) of Q[x]/Phi_n(x), with Fraction coordinates.
 Q is conductor 1, the Eisenstein rationals conductor 3, the Gaussian
 rationals conductor 4.  All values are immutable and all operations pure.
+
+`CyclotomicNumber` is the value type of matrix entries: it serves
+parsing, printing and catalog construction, and its field operations,
+`inv` included, are the reference the tests check the integer rank
+kernel of `matroid` against.  Rank questions themselves never reach
+this module's arithmetic; they run on integer coordinates in
+Z[zeta_n].
 """
 
 from __future__ import annotations

@@ -48,6 +48,12 @@ class GenerationError(FlatkitError):
     """Random instance generation exhausted its rejection-sampling limit."""
 
 
+class UnsatisfiableShapeError(UsageError, GenerationError):
+    """A random instance was asked for in a shape that no simple matroid
+    has, so rejection sampling could never succeed; raised before any
+    draw."""
+
+
 class InternalInconsistencyError(FlatkitError):
     """A theorem-backed runtime assertion failed.
 

@@ -1,19 +1,34 @@
 """Matroids from exact representation matrices.
 
 A matroid is a labeled matrix over Q(zeta_n).  Every rank question is
-answered by one exact routine: `_echelon` builds an echelon basis of a
-span over the field, and `_reduce` reduces a vector against it.  Minors
-are matrices too: a restriction keeps a subset of the columns, and
-contracting a flat projects its span out of the other columns.  Points
-(parallel classes) are read off a projective normal form of each column.
+answered by one exact, fraction-free routine in Z[zeta_n] on Python
+ints: each column is scaled once to integer power-basis coordinates
+(`_integer_column`), `_echelon` builds an echelon basis of a span and
+`_reduce` reduces a vector against it.  A basis row is multiplied by
+adj(p), the product of the other Galois conjugates of its pivot p, so
+that the pivot becomes the rational integer N(p); reducing against it
+is v <- N(p) v - v[pivot] row, and kept vectors are made primitive.  No
+field inverse is taken and nothing is divided except by an exact
+integer gcd.  Minors are matrices too: a restriction keeps a subset of
+the columns, and contracting a flat projects its span out of the other
+columns.  Points (parallel classes) are read off a projective normal
+form of each column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
-from .cyclotomic import CyclotomicNumber, format_scalar, parse_scalar, zero
+from .cyclotomic import (
+    CyclotomicNumber,
+    cyclotomic_polynomial,
+    format_scalar,
+    parse_scalar,
+    zero,
+)
 from .errors import (
     BudgetExceededError,
     ConductorMismatchError,
@@ -24,9 +39,11 @@ from .errors import (
 
 DEFAULT_CLOSURE_BUDGET = 10**7
 
-# Largest conductor a matrix file may declare.  Field arithmetic slows
-# steeply with phi(n): `analyze` of a dense 4x8 file took about 1 s at
-# n = 23 and 11 s at n = 37 (2-vCPU VM, Python 3.11).
+# Largest conductor a matrix file may declare.  Rank work grows steeply
+# with phi(n), most of it in the adj products of pivots: for a dense 4x8
+# matrix, rank, points and simplicity (`analyze`) took 0.12 s at n = 23
+# and 1.5 s at n = 37, and its rank-2 flats a further 0.4 s and 2.0 s
+# (2-vCPU VM, Python 3.11).
 MAX_FILE_CONDUCTOR = 24
 
 
@@ -113,51 +130,173 @@ class Flat:
         return len(self.elements)
 
 
-def _reduce(basis, vector) -> list:
-    """`vector` minus the combination of the echelon basis that clears
-    every pivot coordinate; the result is zero iff `vector` lies in the
-    span of the basis."""
-    v = list(vector)
-    for pivot, row in basis:
-        factor = v[pivot]
-        if factor:
-            for i, x in row:
-                v[i] = v[i] - factor * x
+class _Ring:
+    """Arithmetic in Z[zeta_n] on power-basis coefficient tuples of ints.
+
+    An element is the tuple of its coefficients of 1, zeta, ...,
+    zeta^(phi(n)-1), trimmed so that zero is () and so falsy.  Products
+    are reduced modulo the monic integer Phi_n, so nothing is divided.
+    """
+
+    __slots__ = ("n", "phi", "fold", "units")
+
+    def __init__(self, n: int):
+        poly = cyclotomic_polynomial(n)
+        self.n = n
+        self.phi = len(poly) - 1
+        # zeta^phi = -(sum of the lower terms of Phi_n)
+        self.fold = tuple((j, int(c)) for j, c in enumerate(poly[:-1]) if c)
+        # the Galois automorphisms zeta -> zeta^k other than the identity
+        self.units = tuple(k for k in range(2, n) if gcd(k, n) == 1)
+
+    def _reduced(self, coeffs: list) -> tuple:
+        """The element with coefficient list `coeffs`, of any degree."""
+        phi = self.phi
+        for d in range(len(coeffs) - 1, phi - 1, -1):
+            c = coeffs.pop()
+            if c:
+                for j, f in self.fold:
+                    coeffs[d - phi + j] -= c * f
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """The product a * b."""
+        if not a or not b:
+            return ()
+        if len(a) == 1:
+            c = a[0]
+            return tuple([c * x for x in b])
+        if len(b) == 1:
+            c = b[0]
+            return tuple([c * x for x in a])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return self._reduced(out)
+
+    def adj(self, a: tuple) -> tuple:
+        """The product of the Galois conjugates of a other than a itself,
+        so that a * adj(a) is the rational integer N(a), nonzero when a
+        is.  A rational a is its own pivot, and 1 is returned."""
+        out = (1,)
+        if len(a) == 1:
+            return out
+        n = self.n
+        for k in self.units:
+            conj = [0] * n
+            for i, c in enumerate(a):
+                conj[i * k % n] += c
+            out = self.mul(out, self._reduced(conj))
+        return out
+
+    def scaled(self, v, a: tuple) -> list:
+        """The primitive part of the vector v times a."""
+        if a != (1,):
+            v = [self.mul(x, a) for x in v]
+        return _primitive(v)
+
+
+def _primitive(v) -> list:
+    """The vector v divided by the gcd of all its integer coefficients,
+    which keeps its Q(zeta_n)-line and bounds coefficient growth."""
+    g = gcd(*[c for x in v for c in x])
+    if g > 1:
+        v = [tuple([c // g for c in x]) for x in v]
     return v
 
 
-def _echelon(vectors) -> list:
+def _sub(a: tuple, b: tuple) -> tuple:
+    if len(a) >= len(b):
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] -= y
+    else:
+        out = [-y for y in b]
+        for i, x in enumerate(a):
+            out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _ring(n: int) -> _Ring:
+    return _Ring(n)
+
+
+def _integer_column(column) -> tuple:
+    """A column of CyclotomicNumbers as ring elements, all scaled by the
+    lcm of their coordinate denominators; scaling a column by a nonzero
+    rational changes no rank, closure, point or contraction."""
+    den = lcm(*[c.denominator for x in column for c in x.coeffs])
+    out = []
+    for x in column:
+        coeffs = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(tuple(coeffs))
+    return tuple(out)
+
+
+def _reduce(ring: _Ring, basis, vector) -> list:
+    """`vector` with every pivot coordinate of the echelon basis cleared,
+    fraction-free: v <- N*v - v[pivot]*row for each row with pivot value
+    N.  The result is a nonzero integer multiple of the reduction over
+    the field, so it is zero iff `vector` lies in the span of the basis.
+    Callers that keep it take its primitive part."""
+    v = list(vector)
+    mul = ring.mul
+    for pivot, value, row in basis:
+        factor = v[pivot]
+        if factor:
+            if value != 1:
+                v = [tuple([value * c for c in x]) for x in v]
+            for i, x in row:
+                v[i] = _sub(v[i], mul(factor, x))
+    return v
+
+
+def _echelon(ring: _Ring, vectors) -> list:
     """Echelon basis of the span of `vectors`, stopping at full row rank.
 
-    A basis is a list of (pivot, row) pairs.  Each row is a reduced
-    vector scaled so that its first nonzero coordinate, the pivot, is 1,
-    stored as the (index, entry) pairs of its nonzero coordinates; it is
-    zero at the pivots of the rows before it.  The length of the basis is
-    the rank of the span.
+    A basis is a list of (pivot, N, row) triples.  Each row is a reduced
+    vector multiplied by adj of its first nonzero coordinate, the pivot,
+    so that the pivot becomes the rational integer N, and then made
+    primitive; it is stored as the (index, entry) pairs of its nonzero
+    coordinates and is zero at the pivots of the rows before it.  The
+    length of the basis is the rank of the span.
     """
     basis = []
     for vector in vectors:
-        v = _reduce(basis, vector)
+        v = _reduce(ring, basis, vector)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             continue
-        inv = v[pivot].inv()
-        basis.append((pivot, tuple((i, x * inv) for i, x in enumerate(v)
-                                   if x)))
+        row = ring.scaled(v, ring.adj(v[pivot]))
+        basis.append((pivot, row[pivot][0],
+                      tuple((i, x) for i, x in enumerate(row) if x)))
         if len(basis) == len(v):
             break
     return basis
 
 
-def _point_key(column):
-    """The column scaled by the field inverse of its first nonzero entry,
-    so that parallel columns get equal keys even when they differ by a
+def _point_key(ring: _Ring, column):
+    """The column times adj of its first nonzero entry, made primitive and
+    signed so that entry is positive: the unique primitive integer
+    vector that is a positive rational multiple of column / lead, so
+    that parallel columns get equal keys even when they differ by a
     power of zeta; None for a zero column, which is a loop."""
-    lead = next((x for x in column if x), None)
+    lead = next((i for i, x in enumerate(column) if x), None)
     if lead is None:
         return None
-    inv = lead.inv()
-    return tuple(x * inv for x in column)
+    key = ring.scaled(column, ring.adj(column[lead]))
+    if key[lead][0] < 0:
+        key = [tuple([-c for c in x]) for x in key]
+    return tuple(key)
 
 
 class Matroid:
@@ -172,11 +311,14 @@ class Matroid:
         self._rep = rep
         self.ground: tuple[str, ...] = rep.labels
         self._ground_set = frozenset(self.ground)
-        self._columns = {lbl: rep.column(j) for j, lbl in enumerate(rep.labels)}
+        self._ring = _ring(rep.conductor)
+        self._columns = {lbl: _integer_column(rep.column(j))
+                         for j, lbl in enumerate(rep.labels)}
         self._position = {lbl: j for j, lbl in enumerate(rep.labels)}
         self._ranks: dict[frozenset, int] = {frozenset(): 0}
         self._echelons = 0
-        self._points = {e: _point_key(col) for e, col in self._columns.items()}
+        self._points = {e: _point_key(self._ring, col)
+                        for e, col in self._columns.items()}
 
     # -- basics ------------------------------------------------------------
 
@@ -202,7 +344,8 @@ class Matroid:
     def _basis(self, labels):
         """Echelon basis of the columns of `labels`, taken in ground order."""
         self._echelons += 1
-        return _echelon([self._columns[e] for e in self._order(labels)])
+        return _echelon(self._ring,
+                        [self._columns[e] for e in self._order(labels)])
 
     def rank(self, labels=None) -> int:
         key = self._labels(self.ground if labels is None else labels)
@@ -215,8 +358,9 @@ class Matroid:
         key = self._labels(labels)
         basis = self._basis(key)
         self._ranks[key] = len(basis)
+        ring, columns = self._ring, self._columns
         closed = tuple(e for e in self.ground if e in key
-                       or not any(_reduce(basis, self._columns[e])))
+                       or not any(_reduce(ring, basis, columns[e])))
         return Flat(closed, len(basis))
 
     def is_flat(self, labels) -> bool:
@@ -290,14 +434,17 @@ class Matroid:
         key = self._labels(flat.elements)
         basis = self._basis(key)
         ground = tuple(e for e in self.ground if e not in key)
-        reduced = [_reduce(basis, self._columns[e]) for e in ground]
+        reduced = [_primitive(_reduce(self._ring, basis, self._columns[e]))
+                   for e in ground]
         if not all(any(v) for v in reduced):
             raise ContractNonFlatError(
                 f"cannot contract non-flat {flat.elements}")
-        pivots = {pivot for pivot, _ in basis}
+        pivots = {pivot for pivot, _, _ in basis}
         kept = [i for i in range(self._rep.rows) if i not in pivots]
-        rows = tuple(tuple(v[i] for v in reduced) for i in kept)
-        return Matroid(Representation(self.conductor, rows, ground))
+        n = self.conductor
+        rows = tuple(tuple(CyclotomicNumber(n, v[i]) for v in reduced)
+                     for i in kept)
+        return Matroid(Representation(n, rows, ground))
 
     # -- flats -------------------------------------------------------------
 
@@ -319,6 +466,7 @@ class Matroid:
             return [self.closure([])]
         found = {}
         ground = self.ground
+        ring = self._ring
 
         # `residues` holds every column reduced against the echelon basis
         # of the chosen elements, so one row extends the basis, a nonzero
@@ -326,12 +474,13 @@ class Matroid:
         def grow(start, depth, residues):
             for i in range(start, len(ground)):
                 self._echelons += 1
-                step = _echelon([residues[ground[i]]])
+                step = _echelon(ring, [residues[ground[i]]])
                 if not step:
                     continue
                 if depth + 1 < k:
-                    grow(i + 1, depth + 1, {e: _reduce(step, v)
-                                            for e, v in residues.items()})
+                    grow(i + 1, depth + 1,
+                         {e: _primitive(_reduce(ring, step, v))
+                          for e, v in residues.items()})
                     continue
                 counter[0] += 1
                 if counter[0] > budget:
@@ -340,7 +489,7 @@ class Matroid:
                         stats={"closures": counter[0],
                                "flats_found": len(found)})
                 closed = tuple(e for e in ground
-                               if not any(_reduce(step, residues[e])))
+                               if not any(_reduce(ring, step, residues[e])))
                 found.setdefault(closed, Flat(closed, k))
 
         grow(0, 0, self._columns)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from flatkit import catalog
 from flatkit.catalog import (
     ENTRIES,
     ag23,
@@ -91,6 +92,29 @@ def test_random_instance_rejection_limit():
     with pytest.raises(GenerationError):
         # three elements in rank 1 are always parallel, never simple
         random_instance(1, 3, seed=0, max_tries=5)
+
+
+@pytest.mark.parametrize("d, m", [(-2, -1), (0, 1), (1, 2)],
+                         ids=["negative-rank", "rank-0-with-a-column",
+                              "rank-1-with-two-columns"])
+def test_random_instance_refuses_never_simple_shape(monkeypatch, d, m):
+    drawn = []
+    monkeypatch.setattr(catalog, "Matroid", drawn.append)
+    with pytest.raises(UsageError):
+        random_instance(d, m)
+    assert drawn == []
+
+
+def test_random_instance_rejection_limit_on_a_satisfiable_shape():
+    # rank 2 over Q with coordinates in {-1, 0, 1} has only four points
+    with pytest.raises(GenerationError):
+        random_instance(2, 5, seed=0, bound=1, max_tries=5)
+
+
+@pytest.mark.parametrize("d, m", [(0, 0), (1, 1)])
+def test_random_instance_smallest_simple_shapes(d, m):
+    M = Matroid(random_instance(d, m))
+    assert M.rank() == d and M.is_simple()
 
 
 def test_build_ref():

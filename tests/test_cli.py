@@ -202,6 +202,60 @@ def test_internal_inconsistency_exit_4(capsys, monkeypatch):
     assert "planted failure" in err and err.count("\n") == 1
 
 
+def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
+        capsys, monkeypatch, tmp_path):
+    from flatkit.catalog import trial_instances
+    from flatkit.errors import InternalInconsistencyError
+    from flatkit.matroid import Flat, load_matrix
+    from flatkit.search import ConstructionTrace, TraceLevel
+
+    trace = ConstructionTrace([TraceLevel(k=2, output=Flat(("e1", "e2"), 2))])
+
+    def broken(M, k):
+        raise InternalInconsistencyError("planted failure", trace=trace)
+
+    monkeypatch.setattr(cli, "find_ordinary_flat_constructive", broken)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem",
+                         "--k", "2", "--trials", "3", "--seed", "5", "--json")
+    assert code == 4 and "planted failure" in err
+    s, rep = next(trial_instances(4, 1, 5, 1, (8, 10)))
+    stem = f"failure-main-theorem-k2-seed{s}"
+    assert sorted(os.listdir(tmp_path)) == [stem + ".mat",
+                                            stem + ".trace.json"]
+    assert load_matrix(tmp_path / (stem + ".mat")) == rep
+    assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
+        trace.to_json_dict()
+    assert f"dumped failing instance to {stem}.mat" in out
+
+
+def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
+    from flatkit.errors import InternalInconsistencyError
+
+    def broken(M):
+        raise InternalInconsistencyError("planted failure")
+
+    monkeypatch.setattr(cli, "find_two_point_line", broken)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "verify", "--suite", "kelly", "--trials", "2",
+                     "--seed", "3", "--conductor", "3")
+    assert code == 4
+    assert os.listdir(tmp_path) == ["failure-kelly-k2-seed3000009.mat"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "random:1,3,4,0"],
+    ["analyze", "random:-2,-1,1,0"],
+    ["verify", "--suite", "corollary", "--k", "1"],
+])
+def test_never_simple_random_shape_exit_3(capsys, monkeypatch, argv):
+    drawn = []
+    monkeypatch.setattr(cli.cat, "Matroid", drawn.append)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "rank--" not in err and drawn == []
+
+
 def test_huge_exponent_parses_mod_conductor(capsys, tmp_path):
     path = tmp_path / "big.mat"
     path.write_text("conductor 3\nsize 2 3\n"

@@ -1,5 +1,7 @@
 """The matroid layer on degenerate matrices: zero columns, zeta-multiple
-columns and planted linear combinations over Q(zeta_n), n in {1, 3, 4}.
+columns and planted linear combinations over Q(zeta_n), n in {1, 3, 4},
+and the integer rank kernel against a field reference on the same kind
+of matrices over more conductors.
 
 A zeta-multiple of a column is parallel to it over Q(zeta_n) although
 its rational coordinate vectors are not proportional, so these inputs
@@ -7,18 +9,21 @@ separate field-aware point detection from coordinate-wise shortcuts.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi, zero
-from flatkit.matroid import Matroid, Representation
+from flatkit.matroid import Flat, Matroid, Representation
 
 
 @st.composite
-def degenerate(draw):
+def degenerate(draw, conductors=(1, 3, 4)):
     """(representation, planted facts) with the planted columns mixed in."""
-    n = draw(st.sampled_from([1, 3, 4]))
+    n = draw(st.sampled_from(conductors))
     phi = euler_phi(n)
     d = draw(st.integers(1, 4))
     scalar = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi).map(
@@ -125,3 +130,145 @@ def test_contraction_rank_formula(case, data):
     small = [list(X) for n in (1, 2) for X in itertools.combinations(Q.ground, n)]
     for X in small + [subset(data, Q.ground) for _ in range(5)]:
         assert Q.rank(X) == M.rank(set(X) | set(F.elements)) - F.rank
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the field kernel
+#
+# The reference below is the elimination over the field Q(zeta_n): every
+# pivot and every point key is normalized by a field inverse.  Phi_12 =
+# x^4 - x^2 + 1 and Phi_15 fold products in ways the benchmark's
+# conductors 1, 3 and 4 never do.
+
+KERNEL_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
+
+
+def field_reduce(basis, vector):
+    v = list(vector)
+    for pivot, row in basis:
+        factor = v[pivot]
+        if factor:
+            for i, x in row:
+                v[i] = v[i] - factor * x
+    return v
+
+
+def field_echelon(vectors):
+    basis = []
+    for vector in vectors:
+        v = field_reduce(basis, vector)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            inv = v[pivot].inv()
+            basis.append((pivot,
+                          [(i, x * inv) for i, x in enumerate(v) if x]))
+    return basis
+
+
+def field_point_key(column):
+    lead = next((x for x in column if x), None)
+    if lead is None:
+        return None
+    inv = lead.inv()
+    return tuple(x * inv for x in column)
+
+
+class FieldMatroid:
+    """Rank, closure, points and contraction by field elimination."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.ground = rep.labels
+        self.columns = {e: rep.column(j) for j, e in enumerate(rep.labels)}
+
+    def basis(self, labels):
+        return field_echelon([self.columns[e] for e in self.ground
+                              if e in labels])
+
+    def closure(self, labels):
+        """(closure, rank) of `labels`."""
+        basis = self.basis(labels)
+        return tuple(e for e in self.ground if e in labels
+                     or not any(field_reduce(basis, self.columns[e]))), \
+            len(basis)
+
+    def loops(self):
+        return tuple(e for e in self.ground
+                     if field_point_key(self.columns[e]) is None)
+
+    def parallel_classes(self):
+        classes = {}
+        for e in self.ground:
+            key = field_point_key(self.columns[e])
+            if key is not None:
+                classes.setdefault(key, []).append(e)
+        return [tuple(cls) for cls in classes.values()]
+
+    def contract(self, flat):
+        basis = self.basis(flat)
+        pivots = {pivot for pivot, _ in basis}
+        ground = tuple(e for e in self.ground if e not in flat)
+        reduced = [field_reduce(basis, self.columns[e]) for e in ground]
+        rows = tuple(tuple(v[i] for v in reduced)
+                     for i in range(self.rep.rows) if i not in pivots)
+        return FieldMatroid(Representation(self.rep.conductor, rows, ground))
+
+
+def assert_kernels_agree(M, R, subsets):
+    assert M.loops() == R.loops()
+    assert M.parallel_classes() == R.parallel_classes()
+    for S in subsets:
+        closed, rank = R.closure(S)
+        assert M.rank(S) == rank
+        assert M.closure(S) == Flat(closed, rank)
+
+
+def assert_contractions_agree(M, R, flat_seed, subsets):
+    """Contract the closure of `flat_seed` in the loopless part of both."""
+    keep = [e for e in M.ground if e not in M.loops()]
+    M = M.restrict(keep)
+    R = FieldMatroid(M.to_representation())
+    F = M.closure([e for e in flat_seed if e in keep])
+    Q, RQ = M.contract(F), R.contract(F.elements)
+    assert Q.ground == RQ.ground
+    assert_kernels_agree(Q, RQ, [[e for e in S if e in Q.ground]
+                                 for S in subsets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate(KERNEL_CONDUCTORS), st.data())
+def test_integer_kernel_matches_field_kernel(case, data):
+    rep, _ = case
+    M, R = Matroid(rep), FieldMatroid(rep)
+    subsets = [list(M.ground)] + [subset(data, M.ground) for _ in range(6)]
+    assert_kernels_agree(M, R, subsets)
+    assert_contractions_agree(M, R, subset(data, M.ground), subsets)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_integer_kernel_dense_rank_8(n):
+    """Coefficient growth: a dense 8 x 12 matrix with rational
+    coordinates, two planted combinations and a column times -zeta^3,
+    which over Q is the negated column."""
+    rng = random.Random(8)
+
+    def scalar():
+        return CyclotomicNumber(n, [Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 9))
+                                    for _ in range(euler_phi(n))])
+
+    cols = [tuple(scalar() for _ in range(8)) for _ in range(9)]
+    zeta = CyclotomicNumber.zeta(n)
+    a, b = scalar(), scalar()
+    cols.append(tuple(a * x + b * y for x, y in zip(cols[0], cols[5])))
+    cols.append(tuple(-(zeta * zeta * zeta * x) for x in cols[3]))
+    cols.append(tuple(a * x - y for x, y in zip(cols[9], cols[8])))
+    labels = tuple(f"e{j + 1}" for j in range(len(cols)))
+    rep = Representation(n, tuple(tuple(c[i] for c in cols)
+                                  for i in range(8)), labels)
+    M, R = Matroid(rep), FieldMatroid(rep)
+    assert M.rank(labels) == 8
+    subsets = [list(labels), ["e1", "e6", "e10"], ["e4", "e11"],
+               ["e1", "e6", "e9"], list(labels[:7]), list(labels[2:10])]
+    assert_kernels_agree(M, R, subsets)
+    assert_contractions_agree(M, R, ["e1", "e6", "e9"], subsets)
