@@ -450,11 +450,20 @@ class Matroid:
 
     def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET,
                       counter=None):
-        """All rank-k flats, canonically sorted, by closing independent
-        k-subsets (grown with rank pruning) and deduplicating.
+        """All rank-k flats, each once, canonically sorted (by the ground
+        positions of their elements).
 
-        `budget` bounds the number of closure computations; `counter` is an
-        optional mutable [n] accumulating closures across calls.
+        The flats are reached by a walk down chains of flats
+        {} = C_0 < C_1 < ... < C_k, each covering the one before.  The
+        flats covering C are C + P for the points P of the contraction
+        M/C, and a chain takes P only if the first element of P in ground
+        order comes after that of the point taken one step before.  Such
+        a chain is the closure chain of the greedy basis of C_k, so every
+        flat of rank at most k is formed exactly once.
+
+        `budget` bounds the number of flats the walk forms, at ranks 1..k;
+        `counter` is an optional mutable [n] accumulating that number
+        across calls.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
@@ -464,23 +473,22 @@ class Matroid:
             counter = [0]
         if k == 0:
             return [self.closure([])]
-        found = {}
-        ground = self.ground
+        found = []
         ring = self._ring
 
-        # `residues` holds every column reduced against the echelon basis
-        # of the chosen elements, so one row extends the basis, a nonzero
-        # residue means independent, and a zero one means in the closure.
-        def grow(start, depth, residues):
-            for i in range(start, len(ground)):
-                self._echelons += 1
-                step = _echelon(ring, [residues[ground[i]]])
-                if not step:
-                    continue
-                if depth + 1 < k:
-                    grow(i + 1, depth + 1,
-                         {e: _primitive(_reduce(ring, step, v))
-                          for e, v in residues.items()})
+        # At the flat C (ground positions, sorted) every element i outside
+        # C carries residues[i], its column reduced against an echelon
+        # basis of C, and keys[i], the point key of that residue, so equal
+        # keys are the points of M/C.  One row, from the first element of
+        # the point taken, extends the basis; a residue that is zero at its
+        # pivot is left unchanged by the step, and keeps its key.
+        def walk(flat, rank, last, residues, keys):
+            points = {}
+            for i, key in keys.items():
+                points.setdefault(key, []).append(i)
+            for point in points.values():
+                first = point[0]
+                if first <= last:
                     continue
                 counter[0] += 1
                 if counter[0] > budget:
@@ -488,14 +496,31 @@ class Matroid:
                         f"closure budget {budget} exceeded",
                         stats={"closures": counter[0],
                                "flats_found": len(found)})
-                closed = tuple(e for e in ground
-                               if not any(_reduce(ring, step, residues[e])))
-                found.setdefault(closed, Flat(closed, k))
+                cover = tuple(sorted(flat + tuple(point)))
+                if rank + 1 == k:
+                    found.append(cover)
+                    continue
+                self._echelons += 1
+                step = _echelon(ring, [residues[first]])
+                pivot = step[0][0]
+                inside = set(point)
+                down, down_keys = {}, {}
+                for i, v in residues.items():
+                    if i in inside:
+                        continue
+                    if v[pivot]:
+                        v = _primitive(_reduce(ring, step, v))
+                        down_keys[i] = _point_key(ring, v)
+                    else:
+                        down_keys[i] = keys[i]
+                    down[i] = v
+                walk(cover, rank + 1, first, down, down_keys)
 
-        grow(0, 0, self._columns)
-        position = self._position
-        key = lambda fl: tuple(position[e] for e in fl.elements)
-        return sorted(found.values(), key=key)
+        ground = self.ground
+        walk((), 0, -1, {i: self._columns[e] for i, e in enumerate(ground)},
+             {i: self._points[e] for i, e in enumerate(ground)})
+        found.sort()
+        return [Flat(tuple(ground[i] for i in flat), k) for flat in found]
 
     def is_direct_sum(self, f: Flat, f1: Flat, f2: Flat) -> bool:
         """Is the flat f the direct sum of flats f1 and f2, i.e. their

@@ -1,5 +1,6 @@
 """Certified facts of the named constructions."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -127,6 +128,31 @@ def test_build_ref():
         build_ref("uniform:2")
     with pytest.raises(UsageError):
         build_ref("uniform:a,b")
+
+
+@pytest.mark.parametrize("ref, columns", [
+    ("ag23_power:8", 72), ("ag23_power:1000", 9000), ("uniform:2,65", 65),
+    ("uniform_power:2,13,5", 65), ("random:4,65,1,0", 65),
+    ("random:4,100000,1,0,10", 100000)])
+def test_build_ref_refuses_more_than_max_columns(monkeypatch, ref, columns):
+    built = []
+    for name, entry in ENTRIES.items():
+        monkeypatch.setitem(ENTRIES, name, dataclasses.replace(
+            entry, build=lambda *args: built.append(args)))
+    with pytest.raises(UsageError, match=f"would have {columns} columns"):
+        build_ref(ref)
+    assert built == []
+
+
+@pytest.mark.parametrize("ref, columns", [
+    ("ag23", 9), ("motzkin", 6), ("uniform:3,5", 5), ("ag23_power:7", 63),
+    ("uniform:2,64", 64), ("uniform_power:1,8,8", 64),
+    ("random:3,6,4,1", 6), ("random:2,4", 4)])
+def test_build_ref_builds_up_to_max_columns(ref, columns):
+    assert catalog.MAX_CATALOG_COLUMNS == 64
+    name, _, params = ref.partition(":")
+    args = [int(p) for p in params.split(",")] if params else []
+    assert ENTRIES[name].columns(*args) == build_ref(ref).columns == columns
 
 
 def test_entry_listing():

@@ -189,17 +189,21 @@ def test_binary_input_file_exit_2(capsys, tmp_path):
     assert code == 2 and err.startswith("parse error: cannot read ")
 
 
-def test_internal_inconsistency_exit_4(capsys, monkeypatch):
+def test_internal_inconsistency_exit_4(capsys, monkeypatch, tmp_path):
     from flatkit import cli
     from flatkit.errors import InternalInconsistencyError
 
     def broken(M):
         raise InternalInconsistencyError("planted failure")
 
+    start = Path.cwd()
+    litter = set(start.glob("failure-*"))
     monkeypatch.setattr(cli, "find_two_point_line", broken)
+    monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "verify", "--suite", "kelly", "--trials", "1")
     assert code == 4
     assert "planted failure" in err and err.count("\n") == 1
+    assert set(start.glob("failure-*")) == litter
 
 
 def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
@@ -254,6 +258,20 @@ def test_never_simple_random_shape_exit_3(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "rank--" not in err and drawn == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ag23_power:1000", "--flats", "3"],
+    ["find-elementary", "ag23_power:8", "--k", "4"],
+    ["catalog", "--export", "uniform_power:2,13,5", "out.mat"],
+])
+def test_catalog_ref_above_max_columns_exit_3(capsys, monkeypatch, tmp_path,
+                                              argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "at most 64" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_huge_exponent_parses_mod_conductor(capsys, tmp_path):

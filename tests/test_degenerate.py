@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatkit.catalog import build_ref
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi, zero
+from flatkit.errors import BudgetExceededError
 from flatkit.matroid import Flat, Matroid, Representation
 
 
@@ -130,6 +132,51 @@ def test_contraction_rank_formula(case, data):
     small = [list(X) for n in (1, 2) for X in itertools.combinations(Q.ground, n)]
     for X in small + [subset(data, Q.ground) for _ in range(5)]:
         assert Q.rank(X) == M.rank(set(X) | set(F.elements)) - F.rank
+
+
+# ---------------------------------------------------------------------------
+# flat enumeration against the closures of independent sets
+
+def brute_flats(M, k):
+    """{closure(S) : |S| = k, rank(S) = k}, sorted by ground position."""
+    position = {e: i for i, e in enumerate(M.ground)}
+    flats = {M.closure(S).elements
+             for S in itertools.combinations(M.ground, k) if M.rank(S) == k}
+    return sorted(flats, key=lambda fl: [position[e] for e in fl])
+
+
+def assert_flat_walk(M):
+    """flats_of_rank(k) is the oracle's list for every k, without
+    duplicates; its counter reaches the number of flats of ranks 1..k,
+    and a budget of exactly that number is the least that completes."""
+    total = 0
+    for k in range(M.rank() + 1):
+        counter = [0]
+        flats = M.flats_of_rank(k, counter=counter)
+        elements = [fl.elements for fl in flats]
+        assert len(set(elements)) == len(elements)
+        assert elements == brute_flats(M, k)
+        assert all(fl.rank == k for fl in flats)
+        if k == 0:
+            continue
+        total += len(flats)
+        assert counter[0] == total
+        with pytest.raises(BudgetExceededError):
+            M.flats_of_rank(k, budget=total - 1)
+        assert len(M.flats_of_rank(k, budget=total)) == len(flats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_flat_walk_matches_brute_oracle(case):
+    rep, _ = case
+    M = Matroid(rep)
+    assert_flat_walk(M.restrict([e for e in M.ground if e not in M.loops()]))
+
+
+@pytest.mark.parametrize("ref", ["ag23_power:2", "uniform_power:2,3,3"])
+def test_flat_walk_matches_brute_oracle_on_catalog(ref):
+    assert_flat_walk(Matroid(build_ref(ref)))
 
 
 # ---------------------------------------------------------------------------

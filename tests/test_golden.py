@@ -1,0 +1,68 @@
+"""Golden `--json` output: the sha256 of each command's stdout, with every
+`stats` object removed, is pinned, so a change to the rank kernel, the
+flat enumeration or the search layer cannot alter any answer, flat or
+order unnoticed.  The `stats` counters measure work and may change when
+the work does; everything else is the stable CLI contract.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from flatkit.cli import main
+
+# command (run with --json) -> (exit code, digest)
+GOLDEN = {
+    "analyze ag23_power:2 --flats 2":
+        (0, "8994d4e40b8de8ad1fe3c0b908f34f77e0893cef1c284c6b4b88b3af0196ae8c"),
+    "analyze ag23_power:2 --flats 3":
+        (0, "f9e6166f3427145b39d948ca5295c0701af1f2cfc7e239da7278ea6afd6874cd"),
+    "analyze motzkin --flats 2":
+        (0, "c54f89c5a45188e618722a0617ef6c7832e7473afc4d04cb1a4e3fbea339caaf"),
+    "analyze motzkin --flats 3":
+        (0, "62755014bafeea3227fc98cb3f78428289861cdb7b3328ae49abe8a684c7390e"),
+    "analyze random:4,9,1,0 --flats 2":
+        (0, "0d29457881817943ea156f8b3125f5996efde122cbd98afdc7975f718c7133a5"),
+    "analyze random:4,9,1,0 --flats 3":
+        (0, "b0fe4324d7985555c8519c9b4a85cc9e28ac40b74bdcb99e54df387c1bda14f9"),
+    "analyze random:4,9,3,0 --flats 2":
+        (0, "3271f73499e8703a6e896d5b9282c46f999767ec68913d0ddaff622803268c24"),
+    "analyze random:4,9,3,0 --flats 3":
+        (0, "0f8e797658ecd3aa0c9f72630f813e986f49ebd7a8ce898b36b327671dc5b97d"),
+    "analyze random:4,9,4,0 --flats 2":
+        (0, "8fd214df3029f502c820527f10b9e0cd096eb8c17d666520d89677672e5cbea3"),
+    "analyze random:4,9,4,0 --flats 3":
+        (0, "cb3d3b0ba205433ac04a459ad7543b813302f7c3e077d73c0ebfa3063e6b6ecd"),
+    "find-elementary ag23_power:2 --k 3":
+        (1, "04c98ee6b146a63c2a407c81b7f8b76e38806c4024b79e622327fe902ba2b4fe"),
+    "find-ordinary ag23_power:2 --k 2":
+        (0, "7c0ea0b380d298f3508c06aa2784651ac037564ee50f59fcb5c7dd72542efe93"),
+    "search --conjecture 1 --k 3 --trials 5 --seed 0":
+        (0, "e03045a317c689c9fe3a1969e2835bd76b032b30a8f272b154180cef57ea2788"),
+    "search --conjecture 2 --k 2 --trials 25 --seed 0":
+        (0, "91b6f97c489326dfd46447b5c5f0e605453a1ab434baa5fd3745ad43e636e249"),
+    "verify --suite corollary --k 2 --trials 5 --seed 0":
+        (0, "c7b9d39c0cc5af0f13ea5544cb90d5cc7764b194959fd3f2cc77dba0c25f2295"),
+}
+
+
+def _without_stats(doc):
+    if isinstance(doc, dict):
+        return {k: _without_stats(v) for k, v in doc.items() if k != "stats"}
+    if isinstance(doc, list):
+        return [_without_stats(v) for v in doc]
+    return doc
+
+
+def golden_digest(argv, capsys):
+    """Exit code and sha256 of stdout with every `stats` object removed."""
+    code = main([*argv, "--json"])
+    out = capsys.readouterr().out
+    text = json.dumps(_without_stats(json.loads(out))) + "\n"
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_json_output_is_pinned(command, capsys):
+    assert golden_digest(command.split(), capsys) == GOLDEN[command]
