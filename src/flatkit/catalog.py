@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import CyclotomicNumber, euler_phi
 from .errors import GenerationError, UnsatisfiableShapeError, UsageError
 from .matroid import (
     Matroid,
     Representation,
+    _integer_column,
     direct_sum,
     prefix_labels,
     representation_from_rows,
@@ -91,7 +93,14 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
     """Seeded d x m representation, rejection-sampled until simple and of
     full rank d; basis coordinates are rationals with |num| <= bound and
     1 <= den <= bound.  A shape no simple matroid has (a negative rank,
-    rank 0 with an element, rank 1 with two) is refused before any draw."""
+    rank 0 with an element, rank 1 with two) is refused before any draw.
+    The matrix is that of the matroid `_random_matroid` accepts."""
+    return _random_matroid(d, m, conductor, seed, bound,
+                           max_tries).to_representation()
+
+
+def _random_matroid(d, m, conductor, seed, bound=10, max_tries=1000):
+    """The matroid of random_instance(...), built from integer columns."""
     if d < 0:
         raise UnsatisfiableShapeError(f"rank must be at least 0, got {d}")
     if d < 2 and m > d:
@@ -103,38 +112,44 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
         raise UsageError(f"conductor must be one of {SUPPORTED_CONDUCTORS}")
     if bound < 1:
         raise UsageError(f"bound must be at least 1, got {bound}")
-    phi = euler_phi(conductor)
     rng = random.Random(seed)
-
-    def draw():
-        coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                  for _ in range(phi)]
-        return CyclotomicNumber(conductor, coeffs)
-
+    labels = tuple(f"e{i + 1}" for i in range(m))
     for _ in range(max_tries):
-        rows = tuple(tuple(draw() for _ in range(m)) for _ in range(d))
-        labels = tuple(f"e{i + 1}" for i in range(m))
-        rep = Representation(conductor, rows, labels)
-        mat = Matroid(rep)
+        columns = _draw_columns(rng, d, m, conductor, bound)
+        mat = Matroid._from_columns(conductor, labels, d, columns)
         if mat.rank() == d and mat.is_simple():
-            return rep
+            return mat
     raise GenerationError(
         f"no simple rank-{d} instance after {max_tries} tries")
 
 
+def _draw_columns(rng, d, m, conductor, bound):
+    """One draw of a d x m matrix as the integer columns `Matroid` makes.
+    Entries are drawn row by row, as phi(n) coordinates each, and every
+    coordinate is rng.randint(-bound, bound) / rng.randint(1, bound) in
+    lowest terms."""
+    phi = euler_phi(conductor)
+    draws = [(rng.randint(-bound, bound), rng.randint(1, bound))
+             for _ in range(d * m * phi)]
+    coords = [(a // g, b // g) for a, b in draws for g in [gcd(a, b)]]
+    return [_integer_column([coords[(i * m + j) * phi:(i * m + j + 1) * phi]
+                             for i in range(d)]) for j in range(m)]
+
+
 def trial_instances(rank: int, trials: int, seed: int, conductor: int,
                     cols: tuple[int, int]):
-    """Seeded stream of (trial seed, instance) for `trials` trials.
+    """Seeded stream of (trial seed, Matroid) for `trials` trials.
 
     Trial i gets its own seed s, a fixed function of seed and i, and the
-    instance random_instance(rank, m, conductor, seed=s) with
+    matroid of random_instance(rank, m, conductor, seed=s), with
     m = lo + Random(s).randint(0, hi - lo) for cols = (lo, hi); lo = hi
-    fixes the column count."""
+    fixes the column count.  The matroid is the one the generator
+    accepted; its matrix is built only when asked for."""
     lo, hi = cols
     for i in range(trials):
         s = seed * 1000003 + i
         m = lo + random.Random(s).randint(0, hi - lo)
-        yield s, random_instance(rank, m, conductor, seed=s)
+        yield s, _random_matroid(rank, m, conductor, s)
 
 
 # Most columns a catalog reference may build.  Flat enumeration grows

@@ -19,13 +19,12 @@ import time
 from . import catalog as cat
 from .errors import (
     BudgetExceededError,
-    FlatkitError,
     GenerationError,
     InternalInconsistencyError,
     MatrixParseError,
     UsageError,
 )
-from .matroid import DEFAULT_CLOSURE_BUDGET, Matroid, load_matrix, parse_matrix, save_matrix, write_matrix
+from .matroid import DEFAULT_CLOSURE_BUDGET, Matroid, load_matrix, save_matrix
 from .search import (
     SearchReport,
     SearchStats,
@@ -156,7 +155,8 @@ def cmd_find_ordinary(args) -> int:
     M = Matroid(rep)
     trace = None
     if args.method == "constructive":
-        flat, witness, trace = find_ordinary_flat_constructive(M, args.k)
+        flat, witness, trace = find_ordinary_flat_constructive(
+            M, args.k, budget=args.budget)
         got = (flat, witness)
     else:
         got = find_ordinary_flat_brute(M, args.k, budget=args.budget)
@@ -195,14 +195,14 @@ SUITE_RANK = {
 SUITE_MIN_K = {"kelly": 2, "main-theorem": 2, "corollary": 1}
 
 
-def _verify_trial(suite, rep, M, k):
+def _verify_trial(suite, M, k):
     if suite == "kelly":
         w = find_two_point_line(M)
         return w, w is not None
     if suite == "main-theorem":
         flat, witness, _ = find_ordinary_flat_constructive(M, k)
         # independent recheck on a fresh matroid, no cache reuse
-        fresh = Matroid(rep)
+        fresh = Matroid(M.to_representation())
         recheck = is_ordinary(fresh, fresh.as_flat(flat.elements))
         return witness, recheck is not None
     if suite == "corollary":
@@ -224,16 +224,15 @@ def cmd_verify(args) -> int:
     cols = (args.cols, args.cols) if args.cols else (rank + 4, rank + 6)
     reports = []
     failures = []
-    for s, rep in cat.trial_instances(rank, args.trials, args.seed,
-                                      args.conductor, cols):
-        M = Matroid(rep)
+    for s, M in cat.trial_instances(rank, args.trials, args.seed,
+                                    args.conductor, cols):
         t0 = time.perf_counter()
         before = M.rank_calls
         try:
-            witness, ok = _verify_trial(args.suite, rep, M, k)
+            witness, ok = _verify_trial(args.suite, M, k)
         except InternalInconsistencyError as exc:
             # a failed theorem check ends the run; leave what replays it
-            _dump_failure(args.suite, k, s, rep, exc.trace)
+            _dump_failure(args.suite, k, s, M, exc.trace)
             raise
         stats = SearchStats(rank_calls=M.rank_calls - before,
                             ms=(time.perf_counter() - t0) * 1000)
@@ -242,7 +241,7 @@ def cmd_verify(args) -> int:
             outcome="witness found" if ok else "exhausted",
             witness=witness, stats=stats))
         if not ok:
-            failures.append((s, rep))
+            failures.append((s, M))
     if args.json:
         doc = {"suite": args.suite, "k": k, "trials": args.trials,
                "seed": args.seed, "conductor": args.conductor,
@@ -255,17 +254,17 @@ def cmd_verify(args) -> int:
                    f"({r.stats.rank_calls} rank calls, "
                    f"{r.stats.ms:.0f} ms)")
         _print(f"{passed}/{args.trials} pass")
-    for s, rep in failures:
-        _dump_failure(args.suite, k, s, rep)
+    for s, M in failures:
+        _dump_failure(args.suite, k, s, M)
     return EXIT_VERIFY_FAIL if failures else EXIT_FOUND
 
 
-def _dump_failure(suite, k, seed, rep, trace=None):
-    """Write the instance of a failed trial to the working directory, and
-    beside it the construction trace of a failed theorem check when it
-    carries one."""
+def _dump_failure(suite, k, seed, M, trace=None):
+    """Write the matrix of a failed trial's matroid to the working
+    directory, and beside it the construction trace of a failed theorem
+    check when it carries one."""
     stem = f"failure-{suite}-k{k}-seed{seed}"
-    save_matrix(rep, stem + ".mat")
+    save_matrix(M.to_representation(), stem + ".mat")
     _print(f"dumped failing instance to {stem}.mat")
     if trace is not None:
         with open(stem + ".trace.json", "w") as fh:

@@ -6,11 +6,10 @@ Q is conductor 1, the Eisenstein rationals conductor 3, the Gaussian
 rationals conductor 4.  All values are immutable and all operations pure.
 
 `CyclotomicNumber` is the value type of matrix entries: it serves
-parsing, printing and catalog construction, and its field operations,
-`inv` included, are the reference the tests check the integer rank
-kernel of `matroid` against.  Rank questions themselves never reach
-this module's arithmetic; they run on integer coordinates in
-Z[zeta_n].
+parsing, printing and catalog construction, and its field operations
+are the reference the tests check the integer rank kernel of `matroid`
+against.  Rank questions themselves never reach this module's
+arithmetic; they run on integer coordinates in Z[zeta_n].
 """
 
 from __future__ import annotations
@@ -29,16 +28,6 @@ def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
 
 
 def _poly_mul(a, b):
@@ -67,24 +56,6 @@ def _poly_divmod(a, b):
         for j, bj in enumerate(b):
             a[i + j] -= c * bj
     return _trim(q), _trim(a)
-
-
-def _poly_ext_gcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(q, t1)])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
 
 
 @lru_cache(maxsize=None)
@@ -122,10 +93,10 @@ class CyclotomicNumber:
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
         phi = euler_phi(conductor)
-        poly = [Fraction(c) for c in coeffs]
-        if len(_trim(list(poly))) > phi:
+        poly = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        if len(poly) > phi:
             _, poly = _poly_divmod(poly, list(cyclotomic_polynomial(conductor)))
-        poly = poly[:phi] + [Fraction(0)] * max(0, phi - len(poly))
+        poly += [Fraction(0)] * (phi - len(poly))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(poly))
 
@@ -165,16 +136,6 @@ class CyclotomicNumber:
         self._check(other)
         return CyclotomicNumber(
             self.conductor, _poly_mul(list(self.coeffs), list(other.coeffs)))
-
-    def inv(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via extended Euclid against Phi_n."""
-        a = _trim(list(self.coeffs))
-        if not a:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-        g, s, _ = _poly_ext_gcd(a, list(cyclotomic_polynomial(self.conductor)))
-        # Phi_n is irreducible over Q, so gcd with any nonzero element is 1
-        assert g == [Fraction(1)], "cyclotomic polynomial not coprime to element"
-        return CyclotomicNumber(self.conductor, s)
 
     def __eq__(self, other):
         if not isinstance(other, CyclotomicNumber):

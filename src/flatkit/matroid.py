@@ -1,18 +1,19 @@
 """Matroids from exact representation matrices.
 
-A matroid is a labeled matrix over Q(zeta_n).  Every rank question is
-answered by one exact, fraction-free routine in Z[zeta_n] on Python
-ints: each column is scaled once to integer power-basis coordinates
-(`_integer_column`), `_echelon` builds an echelon basis of a span and
-`_reduce` reduces a vector against it.  A basis row is multiplied by
-adj(p), the product of the other Galois conjugates of its pivot p, so
-that the pivot becomes the rational integer N(p); reducing against it
-is v <- N(p) v - v[pivot] row, and kept vectors are made primitive.  No
-field inverse is taken and nothing is divided except by an exact
-integer gcd.  Minors are matrices too: a restriction keeps a subset of
-the columns, and contracting a flat projects its span out of the other
-columns.  Points (parallel classes) are read off a projective normal
-form of each column.
+A matroid is a labeled matrix over Q(zeta_n), held as integer columns:
+each column is scaled once to integer power-basis coordinates in
+Z[zeta_n] (`_integer_column`), and its matrix is built only on demand.
+Every rank question is answered by one exact, fraction-free routine on
+Python ints: `_echelon` builds an echelon basis of a span and `_reduce`
+reduces a vector against it.  A basis row is multiplied by adj(p), the
+product of the other Galois conjugates of its pivot p, so that the pivot
+becomes the rational integer N(p); reducing against it is
+v <- N(p) v - v[pivot] row, and kept vectors are made primitive.  No
+field inverse is taken and nothing is divided except by an exact integer
+gcd.  Minors hold integer columns too: a restriction keeps a subset of
+the columns and their point keys, and contracting a flat projects its
+span out of the other columns.  Points (parallel classes) are read off a
+projective normal form of each column.
 """
 
 from __future__ import annotations
@@ -228,18 +229,19 @@ def _ring(n: int) -> _Ring:
     return _Ring(n)
 
 
-def _integer_column(column) -> tuple:
-    """A column of CyclotomicNumbers as ring elements, all scaled by the
-    lcm of their coordinate denominators; scaling a column by a nonzero
-    rational changes no rank, closure, point or contraction."""
-    den = lcm(*[c.denominator for x in column for c in x.coeffs])
+def _integer_column(entries) -> tuple[int, tuple]:
+    """A column, its entries given as (numerator, denominator) pairs of
+    coordinates, as (den, the column times den in ring elements), den the
+    lcm of the denominators; scaling a column by a nonzero rational
+    changes no rank, closure, point or contraction."""
+    den = lcm(*[d for entry in entries for _, d in entry])
     out = []
-    for x in column:
-        coeffs = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    for entry in entries:
+        coeffs = [c * (den // d) for c, d in entry]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         out.append(tuple(coeffs))
-    return tuple(out)
+    return den, tuple(out)
 
 
 def _reduce(ring: _Ring, basis, vector) -> list:
@@ -302,29 +304,44 @@ def _point_key(ring: _Ring, column):
 class Matroid:
     """The matroid of the columns of a Representation.
 
-    Minors are matroids of derived matrices: a restriction keeps a
-    subset of the columns, and contracting a flat projects its span out
+    Minors are matroids of derived integer columns: a restriction keeps
+    a subset of the columns, and contracting a flat projects its span out
     of the remaining columns.
     """
 
     def __init__(self, rep: Representation):
-        self._rep = rep
-        self.ground: tuple[str, ...] = rep.labels
+        columns = [[[(c.numerator, c.denominator) for c in x.coeffs]
+                    for x in rep.column(j)] for j in range(rep.columns)]
+        self._setup(rep.conductor, rep.labels, rep.rows,
+                    [_integer_column(col) for col in columns])
+
+    @classmethod
+    def _from_columns(cls, conductor, labels, rows, columns, points=None):
+        """The matroid of `rows`-long columns given as `_integer_column`
+        makes them; `points` are their point keys if already known."""
+        matroid = cls.__new__(cls)
+        matroid._setup(conductor, labels, rows, columns, points)
+        return matroid
+
+    def _setup(self, conductor, labels, rows, columns, points=None):
+        self.ground: tuple[str, ...] = tuple(labels)
         self._ground_set = frozenset(self.ground)
-        self._ring = _ring(rep.conductor)
-        self._columns = {lbl: _integer_column(rep.column(j))
-                         for j, lbl in enumerate(rep.labels)}
-        self._position = {lbl: j for j, lbl in enumerate(rep.labels)}
-        self._ranks: dict[frozenset, int] = {frozenset(): 0}
+        self._ring = _ring(conductor)
+        self._rows = rows
+        self._denominators = {e: den for e, (den, _) in zip(labels, columns)}
+        self._columns = {e: col for e, (_, col) in zip(labels, columns)}
+        self._position = {e: j for j, e in enumerate(self.ground)}
+        self._rank = None
         self._echelons = 0
-        self._points = {e: _point_key(self._ring, col)
-                        for e, col in self._columns.items()}
+        if points is None:
+            points = [_point_key(self._ring, col) for _, col in columns]
+        self._points = dict(zip(self.ground, points))
 
     # -- basics ------------------------------------------------------------
 
     @property
     def conductor(self) -> int:
-        return self._rep.conductor
+        return self._ring.n
 
     @property
     def rank_calls(self) -> int:
@@ -348,16 +365,15 @@ class Matroid:
                         [self._columns[e] for e in self._order(labels)])
 
     def rank(self, labels=None) -> int:
-        key = self._labels(self.ground if labels is None else labels)
-        r = self._ranks.get(key)
-        if r is None:
-            r = self._ranks[key] = len(self._basis(key))
-        return r
+        if labels is not None:
+            return len(self._basis(self._labels(labels)))
+        if self._rank is None:
+            self._rank = len(self._basis(self.ground))
+        return self._rank
 
     def closure(self, labels) -> Flat:
         key = self._labels(labels)
         basis = self._basis(key)
-        self._ranks[key] = len(basis)
         ring, columns = self._ring, self._columns
         closed = tuple(e for e in self.ground if e in key
                        or not any(_reduce(ring, basis, columns[e])))
@@ -415,19 +431,22 @@ class Matroid:
     # -- minors ------------------------------------------------------------
 
     def restrict(self, labels) -> "Matroid":
+        """The restriction to `labels`, on the parent's integer columns
+        and point keys."""
         keep = self._labels(labels)
         ground = tuple(e for e in self.ground if e in keep)
-        rows = tuple(tuple(row[self._position[e]] for e in ground)
-                     for row in self._rep.entries)
-        return Matroid(Representation(self.conductor, rows, ground))
+        return Matroid._from_columns(
+            self.conductor, ground, self._rows,
+            [(self._denominators[e], self._columns[e]) for e in ground],
+            [self._points[e] for e in ground])
 
     def contract(self, flat: Flat) -> "Matroid":
         """Contract a flat; the result is loopless when self is.
 
         Only flats may be contracted; anything else raises.  The span of
-        the flat is projected out of the other columns: each is reduced
-        against an echelon basis of the flat and loses the pivot
-        coordinates.
+        the flat is projected out of the other integer columns: each is
+        reduced against an echelon basis of the flat, made primitive, and
+        loses the rank(flat) pivot coordinates.
         """
         if not self.is_loopless():
             raise UsageError("contraction requires a loopless matroid")
@@ -440,11 +459,10 @@ class Matroid:
             raise ContractNonFlatError(
                 f"cannot contract non-flat {flat.elements}")
         pivots = {pivot for pivot, _, _ in basis}
-        kept = [i for i in range(self._rep.rows) if i not in pivots]
-        n = self.conductor
-        rows = tuple(tuple(CyclotomicNumber(n, v[i]) for v in reduced)
-                     for i in kept)
-        return Matroid(Representation(n, rows, ground))
+        kept = [i for i in range(self._rows) if i not in pivots]
+        return Matroid._from_columns(
+            self.conductor, ground, len(kept),
+            [(1, tuple(v[i] for i in kept)) for v in reduced])
 
     # -- flats -------------------------------------------------------------
 
@@ -522,21 +540,19 @@ class Matroid:
         found.sort()
         return [Flat(tuple(ground[i] for i in flat), k) for flat in found]
 
-    def is_direct_sum(self, f: Flat, f1: Flat, f2: Flat) -> bool:
-        """Is the flat f the direct sum of flats f1 and f2, i.e. their
-        union with rank(f) = rank(f1) + rank(f2)?"""
-        for x in (f, f1, f2):
-            if not self.is_flat(x.elements):
-                raise UsageError("is_direct_sum expects flats")
-        return (set(f.elements) == set(f1.elements) | set(f2.elements)
-                and f.rank == f1.rank + f2.rank)
-
     # -- materialization ---------------------------------------------------
 
     def to_representation(self) -> Representation:
-        """The matrix this matroid is defined by; for a contraction, the
-        projected columns."""
-        return self._rep
+        """The matrix, built on demand from the integer columns: the one
+        the matroid was built from, the parent's columns for a restriction,
+        the projected integer columns for a contraction."""
+        n = self.conductor
+        columns = [[CyclotomicNumber(n, [Fraction(c, den) for c in x])
+                    for x in self._columns[e]]
+                   for e, den in self._denominators.items()]
+        entries = tuple(tuple(col[i] for col in columns)
+                        for i in range(self._rows))
+        return Representation(n, entries, self.ground)
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,16 @@ def find_elementary_flat_brute(M: Matroid, k: int,
 # ---------------------------------------------------------------------------
 # the constructive search
 
-def find_ordinary_flat_constructive(M: Matroid, k: int):
+def find_ordinary_flat_constructive(M: Matroid, k: int,
+                                    budget: int = DEFAULT_CLOSURE_BUDGET):
     """Find an ordinary rank-k flat of a simple matroid with rank at
     least 4(k-1), returning (flat, witness, trace).
 
     Base case k=2 is the two-point-line guarantee at rank >= 4; the
     recursive step restricts to the union of two flats over a common
     rank-4(k-2) flat, contracts a two-point line, recurses at k-1, and
-    reassembles an ordinary flat from the lifted witness.
+    reassembles an ordinary flat from the lifted witness.  `budget`
+    bounds the flats formed by all the levels together.
     """
     if not M.is_simple():
         raise UsageError("constructive search requires a simple matroid")
@@ -230,11 +232,11 @@ def find_ordinary_flat_constructive(M: Matroid, k: int):
             f"rank {M.rank()} below 4(k-1) = {4 * (k - 1)}; "
             "only the brute oracle handles that range")
     trace = ConstructionTrace()
-    flat, witness = _constructive(M, k, trace)
+    flat, witness = _constructive(M, k, trace, budget, [0])
     return flat, witness, trace
 
 
-def _constructive(M, k, trace):
+def _constructive(M, k, trace, budget, counter):
     if k == 2:
         line = find_two_point_line(M)
         _require(line is not None,
@@ -280,7 +282,7 @@ def _constructive(M, k, trace):
     N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
     _require(N2s.rank() == t, "contracted restriction has wrong rank", trace)
-    sub_flat, sub_witness = _constructive(N2s, k - 1, trace)
+    sub_flat, sub_witness = _constructive(N2s, k - 1, trace, budget, counter)
 
     # lift through the parallel-class quotient back to the contraction
     p_reps = set(sub_witness.point.elements)
@@ -320,7 +322,7 @@ def _constructive(M, k, trace):
     if w == y:
         x, y = y, x  # so that {x,z} is the two-point line
 
-    f_prime = _choose_f_prime(N, K, x, y, k)
+    f_prime = _choose_f_prime(N, K, x, y, k, budget, counter)
     _require(f_prime is not None,
              "no rank-(k-1) flat in K containing x but not y", trace)
 
@@ -338,11 +340,11 @@ def _constructive(M, k, trace):
     return out, witness
 
 
-def _choose_f_prime(N, K, x, y, k):
+def _choose_f_prime(N, K, x, y, k, budget, counter):
     """The canonically least rank-(k-1) flat inside the rank-k flat K
     that contains x but not y, found by scanning K's (small) slice."""
     NK = N.restrict(K.elements)
-    for fl in NK.flats_of_rank(k - 1):
+    for fl in NK.flats_of_rank(k - 1, budget=budget, counter=counter):
         if x in fl.elements and y not in fl.elements:
             return fl
     return None
@@ -369,7 +371,8 @@ def find_elementary_flat(M: Matroid, k: int,
             return None
         return M.closure([M.ground[0]])
     if M.rank() >= 4 ** (k - 1):
-        _, witness, _ = find_ordinary_flat_constructive(M, 4 ** (k - 2) + 1)
+        _, witness, _ = find_ordinary_flat_constructive(
+            M, 4 ** (k - 2) + 1, budget=budget)
         sub = find_elementary_flat(M.restrict(witness.complement.elements),
                                    k - 1, budget=budget)
         _require(sub is not None, "elementary recursion came back empty")
@@ -393,7 +396,7 @@ CONJECTURE_RANK = {1: lambda k: k + 2, 2: lambda k: 3 * (k - 1) + 1}
 
 def conjecture_instances(conjecture: int, k: int, trials: int, seed: int,
                          conductor: int = 1, cols=None):
-    """Seeded stream of (trial seed, Representation) at exactly the rank
+    """Seeded stream of (trial seed, Matroid) at exactly the rank
     the conjecture demands, with rank+2 to rank+4 columns unless `cols`
     gives the range."""
     rank = CONJECTURE_RANK[conjecture](k)
@@ -403,7 +406,8 @@ def conjecture_instances(conjecture: int, k: int, trials: int, seed: int,
 
 def search_conjecture_counterexample(instances, conjecture: int, k: int,
                                      budget: int = DEFAULT_CLOSURE_BUDGET):
-    """Run the matching brute oracle over a stream of (seed, rep) pairs.
+    """Run the matching brute oracle over a stream of (seed, Matroid)
+    pairs.
 
     Returns the report of the first counterexample (an instance whose
     flat slice is exhausted without a witness), a budget-exceeded report,
@@ -418,11 +422,10 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
     t0 = time.perf_counter()
     base_seed = None
     conductor = None
-    for seed, rep in instances:
+    for seed, M in instances:
         if base_seed is None:
             base_seed = seed
-            conductor = rep.conductor
-        M = Matroid(rep)
+            conductor = M.conductor
         if M.rank() != need or not M.is_simple():
             raise UsageError(
                 f"generator produced rank-{M.rank()} instance; conjecture "
@@ -442,17 +445,17 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
             total.flats_enumerated += counter[0]
             total.ms = (time.perf_counter() - t0) * 1000
             return SearchReport(
-                mode="verify", seed=seed, conductor=rep.conductor,
+                mode="verify", seed=seed, conductor=M.conductor,
                 rank=need, k=k, outcome="budget exceeded", stats=total,
-                instance=rep)
+                instance=M.to_representation())
         total.rank_calls += M.rank_calls - before
         total.flats_enumerated += counter[0]
         if witness is None:
             total.ms = (time.perf_counter() - t0) * 1000
             return SearchReport(
-                mode="counterexample", seed=seed, conductor=rep.conductor,
+                mode="counterexample", seed=seed, conductor=M.conductor,
                 rank=need, k=k, outcome="exhausted", stats=total,
-                instance=rep)
+                instance=M.to_representation())
     total.ms = (time.perf_counter() - t0) * 1000
     return SearchReport(
         mode="verify", seed=base_seed if base_seed is not None else 0,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,10 +15,12 @@ from flatkit.catalog import (
     build_ref,
     motzkin,
     random_instance,
+    trial_instances,
     uniform,
 )
+from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import GenerationError, UsageError
-from flatkit.matroid import Matroid
+from flatkit.matroid import Matroid, Representation
 from flatkit.search import find_elementary_flat, find_two_point_line, is_ordinary
 
 
@@ -80,6 +84,57 @@ def test_random_instance_simple_full_rank():
     for seed in range(5):
         M = Matroid(random_instance(4, 8, 3, seed=seed))
         assert M.rank() == 4 and M.is_simple()
+
+
+def fraction_instance(d, m, conductor, seed, bound=10):
+    """The generator's contract in Fractions: entries drawn row by row,
+    each coordinate randint(-bound, bound) / randint(1, bound), until the
+    matrix is simple of rank d."""
+    rng = random.Random(seed)
+    labels = tuple(f"e{i + 1}" for i in range(m))
+    for _ in range(1000):
+        rows = tuple(tuple(
+            CyclotomicNumber(conductor, [
+                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                for _ in range(euler_phi(conductor))])
+            for _ in range(m)) for _ in range(d))
+        rep = Representation(conductor, rows, labels)
+        M = Matroid(rep)
+        if M.rank() == d and M.is_simple():
+            return rep
+    raise AssertionError("no instance after 1000 draws")
+
+
+def assert_matroid_of(M, rep):
+    """M is the matroid of rep: same matrix, rank, points and closures
+    of every pair."""
+    assert M.to_representation() == rep
+    fresh = Matroid(rep)
+    assert M.ground == fresh.ground and M.rank() == fresh.rank()
+    assert M.parallel_classes() == fresh.parallel_classes()
+    for pair in itertools.combinations(M.ground, 2):
+        assert M.closure(pair) == fresh.closure(pair)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10])
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_generated_matroid_is_the_matroid_of_its_matrix(conductor, bound):
+    for seed in range(6):
+        rep = random_instance(3, 5 + seed % 2, conductor, seed, bound)
+        assert rep == fraction_instance(3, 5 + seed % 2, conductor, seed,
+                                        bound)
+        M = catalog._random_matroid(3, 5 + seed % 2, conductor, seed, bound)
+        assert_matroid_of(M, rep)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_trial_instances_are_the_matroids_of_random_instance(conductor):
+    for s, M in trial_instances(4, 6, 11, conductor, (8, 10)):
+        m = len(M.ground)
+        assert m == 8 + random.Random(s).randint(0, 2)
+        rep = random_instance(4, m, conductor, seed=s)
+        assert rep == fraction_instance(4, m, conductor, s)
+        assert_matroid_of(M, rep)
 
 
 def test_random_instance_param_checks():

@@ -153,6 +153,19 @@ def test_search_budget_exit_6(capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["find-elementary", "random:16,20,1,0", "--k", "3"],
+    ["find-ordinary", "random:8,12,1,0", "--k", "3",
+     "--method", "constructive"],
+])
+def test_constructive_branch_budget_exit_6(capsys, argv):
+    # both runs reach the constructive recursion, whose choice of F'
+    # forms more than one flat
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == 6 and out == ""
+    assert err.startswith("budget exceeded: ")
+
+
 def test_search_k1_rejected(capsys):
     code, _, _ = run(capsys, "search", "--conjecture", "1", "--k", "1",
                      "--trials", "1")
@@ -223,11 +236,11 @@ def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
     code, out, err = run(capsys, "verify", "--suite", "main-theorem",
                          "--k", "2", "--trials", "3", "--seed", "5", "--json")
     assert code == 4 and "planted failure" in err
-    s, rep = next(trial_instances(4, 1, 5, 1, (8, 10)))
+    s, M = next(trial_instances(4, 1, 5, 1, (8, 10)))
     stem = f"failure-main-theorem-k2-seed{s}"
     assert sorted(os.listdir(tmp_path)) == [stem + ".mat",
                                             stem + ".trace.json"]
-    assert load_matrix(tmp_path / (stem + ".mat")) == rep
+    assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
     assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
         trace.to_json_dict()
     assert f"dumped failing instance to {stem}.mat" in out
@@ -254,7 +267,8 @@ def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
 ])
 def test_never_simple_random_shape_exit_3(capsys, monkeypatch, argv):
     drawn = []
-    monkeypatch.setattr(cli.cat, "Matroid", drawn.append)
+    monkeypatch.setattr(cli.cat, "_draw_columns",
+                        lambda *args: drawn.append(args))
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert "rank--" not in err and drawn == []
@@ -308,7 +322,7 @@ def test_random_ref_bound_below_1_exit_3(capsys):
 
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_verify_corollary_k_below_1_exit_3(capsys, monkeypatch, k):
-    monkeypatch.setattr(cli.cat, "random_instance", None)  # nothing drawn
+    monkeypatch.setattr(cli.cat, "_draw_columns", None)  # nothing drawn
     code, _, err = run(capsys, "verify", "--suite", "corollary", "--k", k)
     assert code == 3 and "corollary suite needs k >= 1" in err
 
@@ -326,8 +340,8 @@ def test_verify_instance_stream(capsys, monkeypatch, cols):
     # rank + 4 + Random(s).randint(0, 2)
     seen = []
 
-    def record(suite, rep, M, k):
-        seen.append(rep)
+    def record(suite, M, k):
+        seen.append(M.to_representation())
         return None, True
 
     monkeypatch.setattr(cli, "_verify_trial", record)

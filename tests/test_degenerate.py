@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatkit.catalog import build_ref
-from flatkit.cyclotomic import CyclotomicNumber, euler_phi, zero
+from flatkit.cyclotomic import (
+    CyclotomicNumber,
+    _poly_divmod,
+    _poly_mul,
+    _trim,
+    cyclotomic_polynomial,
+    euler_phi,
+    zero,
+)
 from flatkit.errors import BudgetExceededError
 from flatkit.matroid import Flat, Matroid, Representation
 
@@ -135,6 +143,50 @@ def test_contraction_rank_formula(case, data):
 
 
 # ---------------------------------------------------------------------------
+# minors are the matroids of their matrices
+#
+# A restriction reuses its parent's integer columns and point keys, and a
+# contraction keeps its projected integer columns; each must be the
+# matroid of the matrix `to_representation` builds from them.
+
+def assert_same_matroid(A, B, subsets):
+    assert A.ground == B.ground and A.rank() == B.rank()
+    assert A.loops() == B.loops()
+    assert A.parallel_classes() == B.parallel_classes()
+    for S in subsets:
+        assert A.rank(S) == B.rank(S)
+        assert A.closure(S) == B.closure(S)
+
+
+def assert_minor_is_its_matrix(minor, data):
+    """`minor` against a fresh matroid of its matrix, and one contraction
+    of each of the two by the same flat against the other."""
+    fresh = Matroid(minor.to_representation())
+    assert_same_matroid(minor, fresh,
+                        [subset(data, minor.ground) for _ in range(4)])
+    keep = [e for e in minor.ground if e not in minor.loops()]
+    minor, fresh = minor.restrict(keep), fresh.restrict(keep)
+    F = minor.closure(subset(data, keep))
+    Q = minor.contract(F)
+    assert_same_matroid(Q, fresh.contract(F),
+                        [subset(data, Q.ground) for _ in range(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate(), st.data())
+def test_minors_are_the_matroids_of_their_matrices(case, data):
+    rep, _ = case
+    M = Matroid(rep)
+    assert_minor_is_its_matrix(M.restrict(subset(data, M.ground)), data)
+    L = M.restrict([e for e in M.ground if e not in M.loops()])
+    F = L.closure(subset(data, L.ground))
+    Q = L.contract(F)
+    # the span of F is projected out: rank(F) coordinates fewer
+    assert Q.to_representation().rows == rep.rows - F.rank
+    assert_minor_is_its_matrix(Q, data)
+
+
+# ---------------------------------------------------------------------------
 # flat enumeration against the closures of independent sets
 
 def brute_flats(M, k):
@@ -190,6 +242,45 @@ def test_flat_walk_matches_brute_oracle_on_catalog(ref):
 KERNEL_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
 
 
+def _poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _poly_ext_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
+        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(q, t1)])
+    if r0:
+        lead = r0[-1]
+        r0 = [c / lead for c in r0]
+        s0 = [c / lead for c in s0]
+        t0 = [c / lead for c in t0]
+    return r0, s0, t0
+
+
+def inv(x):
+    """The multiplicative inverse of x in Q(zeta_n), by extended Euclid
+    against Phi_n."""
+    a = _trim(list(x.coeffs))
+    if not a:
+        raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
+    g, s, _ = _poly_ext_gcd(a, list(cyclotomic_polynomial(x.conductor)))
+    # Phi_n is irreducible over Q, so gcd with any nonzero element is 1
+    assert g == [Fraction(1)], "cyclotomic polynomial not coprime to element"
+    return CyclotomicNumber(x.conductor, s)
+
+
 def field_reduce(basis, vector):
     v = list(vector)
     for pivot, row in basis:
@@ -206,9 +297,9 @@ def field_echelon(vectors):
         v = field_reduce(basis, vector)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is not None:
-            inv = v[pivot].inv()
+            scale = inv(v[pivot])
             basis.append((pivot,
-                          [(i, x * inv) for i, x in enumerate(v) if x]))
+                          [(i, x * scale) for i, x in enumerate(v) if x]))
     return basis
 
 
@@ -216,8 +307,8 @@ def field_point_key(column):
     lead = next((x for x in column if x), None)
     if lead is None:
         return None
-    inv = lead.inv()
-    return tuple(x * inv for x in column)
+    scale = inv(lead)
+    return tuple(x * scale for x in column)
 
 
 class FieldMatroid:

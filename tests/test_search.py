@@ -265,7 +265,7 @@ def test_conjecture_instance_stream():
     got = list(conjecture_instances(2, 2, trials=3, seed=9, conductor=3))
     seeds = [9 * 1000003 + i for i in range(3)]
     assert [s for s, _ in got] == seeds
-    assert [rep for _, rep in got] == [
+    assert [M.to_representation() for _, M in got] == [
         random_instance(4, 6 + random.Random(s).randint(0, 2), 3, seed=s)
         for s in seeds]
 
@@ -296,7 +296,7 @@ def test_conjecture1_k3_runs():
 def test_under_rank_instance_rejected():
     # AG(2,3) has rank 3 = 3(k-1) for k=2, below the conjectured bound
     with pytest.raises(UsageError):
-        search_conjecture_counterexample([(0, ag23())], 2, 2)
+        search_conjecture_counterexample([(0, Matroid(ag23()))], 2, 2)
 
 
 def test_report_serialization_shape():
