@@ -91,10 +91,11 @@ SUPPORTED_CONDUCTORS = (1, 3, 4)
 def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
                     bound: int = 10, max_tries: int = 1000) -> Representation:
     """Seeded d x m representation, rejection-sampled until simple and of
-    full rank d; basis coordinates are rationals with |num| <= bound and
-    1 <= den <= bound.  A shape no simple matroid has (a negative rank,
-    rank 0 with an element, rank 1 with two) is refused before any draw.
-    The matrix is that of the matroid `_random_matroid` accepts."""
+    full rank d; basis coordinates are rationals randint(-bound, bound) /
+    randint(1, bound).  Draws are tested as integer columns, and only the
+    accepted one is built as a matrix.  A shape no simple matroid has (a
+    negative rank, rank 0 with an element, rank 1 with two) is refused
+    before any draw."""
     return _random_matroid(d, m, conductor, seed, bound,
                            max_tries).to_representation()
 

@@ -406,8 +406,7 @@ def conjecture_instances(conjecture: int, k: int, trials: int, seed: int,
 
 def search_conjecture_counterexample(instances, conjecture: int, k: int,
                                      budget: int = DEFAULT_CLOSURE_BUDGET):
-    """Run the matching brute oracle over a stream of (seed, Matroid)
-    pairs.
+    """Run the matching brute oracle over a stream of (seed, Matroid).
 
     Returns the report of the first counterexample (an instance whose
     flat slice is exhausted without a witness), a budget-exceeded report,
