@@ -7,8 +7,12 @@ file in the working directory (and would be a publishable surprise).
 
 import argparse
 import sys
+from pathlib import Path
 
-from flatkit.cli import main
+# run from a source checkout: import flatkit from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from flatkit.cli import main  # noqa: E402
 
 
 def run(seed, trials):

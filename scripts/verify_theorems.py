@@ -6,8 +6,12 @@ suite fails.
 """
 
 import sys
+from pathlib import Path
 
-from flatkit.cli import main
+# run from a source checkout: import flatkit from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from flatkit.cli import main  # noqa: E402
 
 SUITES = [
     ["verify", "--suite", "kelly", "--trials", "100", "--seed", "7"],

@@ -133,8 +133,10 @@ def _draw_columns(rng, d, m, conductor, bound):
     draws = [(rng.randint(-bound, bound), rng.randint(1, bound))
              for _ in range(d * m * phi)]
     coords = [(a // g, b // g) for a, b in draws for g in [gcd(a, b)]]
-    return [_integer_column([coords[(i * m + j) * phi:(i * m + j + 1) * phi]
-                             for i in range(d)]) for j in range(m)]
+    return [_integer_column([c for i in range(d)
+                             for c in coords[(i * m + j) * phi:
+                                             (i * m + j + 1) * phi]])
+            for j in range(m)]
 
 
 def trial_instances(rank: int, trials: int, seed: int, conductor: int,

@@ -3,21 +3,26 @@
 A matroid is a labeled matrix over Q(zeta_n), held as integer columns:
 each column is scaled once to integer power-basis coordinates in
 Z[zeta_n] (`_integer_column`), and its matrix is built only on demand.
-Every rank question is answered by one exact, fraction-free routine on
-Python ints: `_echelon` builds an echelon basis of a span and `_reduce`
-reduces a vector against it.  A basis row is multiplied by adj(p), the
-product of the other Galois conjugates of its pivot p, so that the pivot
-becomes the rational integer N(p); reducing against it is
-v <- N(p) v - v[pivot] row, and kept vectors are made primitive.  No
-field inverse is taken and nothing is divided except by an exact integer
-gcd.  Minors hold integer columns too: a restriction keeps a subset of
-the columns and their point keys, and contracting a flat projects its
-span out of the other columns.  Points (parallel classes) are read off a
-projective normal form of each column.
+A column, like every vector of the rank kernel, is one flat sequence of
+d*phi(n) Python ints, entry-major: entry i is the slice
+[i*phi, (i+1)*phi).  Every rank question is answered by one exact,
+fraction-free routine: `_echelon` builds an echelon basis of a span and
+`_reduce` reduces a vector against it.  A basis row is multiplied by
+adj(p), the product of the other Galois conjugates of its pivot p, so
+that the pivot becomes the rational integer N(p), and is stored with
+its zeta shifts, row times zeta^j.  Reducing v against it is
+v <- N(p) v - f row for f the entry of v at the pivot, at most phi
+whole-vector list comprehensions (one over Q).  Kept vectors are made
+primitive.  No field inverse is taken and nothing is divided except by
+an exact integer gcd.  Minors hold integer columns too: a restriction
+keeps a subset of the columns and their point keys, and contracting a
+flat projects its span out of the other columns.  Points (parallel
+classes) are read off a projective normal form of each column.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,10 +46,11 @@ from .errors import (
 DEFAULT_CLOSURE_BUDGET = 10**7
 
 # Largest conductor a matrix file may declare.  Rank work grows steeply
-# with phi(n), most of it in the adj products of pivots: for a dense 4x8
-# matrix, rank, points and simplicity (`analyze`) took 0.12 s at n = 23
-# and 1.5 s at n = 37, and its rank-2 flats a further 0.4 s and 2.0 s
-# (2-vCPU VM, Python 3.11).
+# with phi(n), most of it in adj, the product of the phi(n) - 1 other
+# conjugates of each pivot and point lead.  For a dense 4x8 matrix with
+# coordinates randint(-5, 5) / randint(1, 4), `analyze` took 0.17-0.20 s
+# at n = 23 and 2.7 s at n = 37, and `analyze --flats 2` 1.1-1.2 s and
+# 15 s (2-vCPU VM, Python 3.11).
 MAX_FILE_CONDUCTOR = 24
 
 
@@ -132,21 +138,26 @@ class Flat:
 
 
 class _Ring:
-    """Arithmetic in Z[zeta_n] on power-basis coefficient tuples of ints.
+    """Arithmetic in Z[zeta_n] on power-basis coordinates held as ints.
 
-    An element is the tuple of its coefficients of 1, zeta, ...,
-    zeta^(phi(n)-1), trimmed so that zero is () and so falsy.  Products
-    are reduced modulo the monic integer Phi_n, so nothing is divided.
+    A single element is the tuple of its coefficients of 1, zeta, ...,
+    zeta^(phi(n)-1); `mul` and `adj` return it trimmed, so that zero is
+    () and so falsy.  A vector of d entries is one flat sequence of
+    d*phi ints, entry-major: entry i is the slice [i*phi, (i+1)*phi).
+    `times` (an element times a vector) and `shifts` (a vector times
+    the powers of zeta) act on whole vectors.  Products are reduced
+    modulo the monic integer Phi_n, so nothing is divided.
     """
 
-    __slots__ = ("n", "phi", "fold", "units")
+    __slots__ = ("n", "phi", "low", "fold", "units")
 
     def __init__(self, n: int):
         poly = cyclotomic_polynomial(n)
         self.n = n
         self.phi = len(poly) - 1
         # zeta^phi = -(sum of the lower terms of Phi_n)
-        self.fold = tuple((j, int(c)) for j, c in enumerate(poly[:-1]) if c)
+        self.low = tuple(int(c) for c in poly[:-1])
+        self.fold = tuple((j, c) for j, c in enumerate(self.low) if c)
         # the Galois automorphisms zeta -> zeta^k other than the identity
         self.units = tuple(k for k in range(2, n) if gcd(k, n) == 1)
 
@@ -179,12 +190,12 @@ class _Ring:
                     out[i + j] += x * y
         return self._reduced(out)
 
-    def adj(self, a: tuple) -> tuple:
+    def adj(self, a) -> tuple:
         """The product of the Galois conjugates of a other than a itself,
         so that a * adj(a) is the rational integer N(a), nonzero when a
         is.  A rational a is its own pivot, and 1 is returned."""
         out = (1,)
-        if len(a) == 1:
+        if not any(a[1:]):
             return out
         n = self.n
         for k in self.units:
@@ -194,34 +205,62 @@ class _Ring:
             out = self.mul(out, self._reduced(conj))
         return out
 
-    def scaled(self, v, a: tuple) -> list:
-        """The primitive part of the vector v times a."""
-        if a != (1,):
-            v = [self.mul(x, a) for x in v]
-        return _primitive(v)
+    def _times_zeta(self, v) -> list:
+        """zeta * v for a flat vector v: in each entry the coefficients
+        move up one place and the top one folds back through Phi_n."""
+        phi = self.phi
+        out = [0, *v[:-1]]
+        for base in range(0, len(v), phi):
+            top = v[base + phi - 1]
+            out[base] = 0
+            if top:
+                for j, c in self.fold:
+                    out[base + j] -= c * top
+        return out
+
+    def shifts(self, v) -> list:
+        """[v, zeta*v, ..., zeta^(phi-1)*v] for a flat vector v, so that
+        a*v is the sum of a_j times the j-th one for an element a."""
+        out = [v]
+        for _ in range(self.phi - 1):
+            out.append(self._times_zeta(out[-1]))
+        return out
+
+    def times(self, a: tuple, v) -> list:
+        """The flat vector a*v for an element a, entry by entry through
+        a's phi x phi integer multiplication matrix, whose j-th column
+        is zeta^j * a."""
+        phi = self.phi
+        a = list(a) + [0] * (phi - len(a))
+        entries = zip(*[iter(v)] * phi)
+        if phi == 2:
+            # zeta^2 = -c0 - c1*zeta, so zeta*a = (-c0*a1, a0 - c1*a1)
+            (a0, a1), (c0, c1) = a, self.low
+            b0, b1 = -c0 * a1, a0 - c1 * a1
+            return [c for p, q in entries
+                    for c in (a0 * p + b0 * q, a1 * p + b1 * q)]
+        rows = list(zip(*self.shifts(a)))
+        return [sum(map(operator.mul, row, x))
+                for x in entries for row in rows]
 
 
 def _primitive(v) -> list:
-    """The vector v divided by the gcd of all its integer coefficients,
-    which keeps its Q(zeta_n)-line and bounds coefficient growth."""
-    g = gcd(*[c for x in v for c in x])
+    """The flat vector v divided by the gcd of all its integer
+    coordinates, which keeps its Q(zeta_n)-line and bounds coefficient
+    growth."""
+    g = gcd(*v)
     if g > 1:
-        v = [tuple([c // g for c in x]) for x in v]
+        v = [c // g for c in v]
     return v
 
 
-def _sub(a: tuple, b: tuple) -> tuple:
-    if len(a) >= len(b):
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] -= y
-    else:
-        out = [-y for y in b]
-        for i, x in enumerate(a):
-            out[i] += x
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def _normalized(ring: _Ring, v, at: int) -> list:
+    """The primitive part of v times adj of its entry at offset `at`, so
+    that entry becomes a rational integer: (N, 0, ..., 0)."""
+    a = ring.adj(v[at:at + ring.phi])
+    if a != (1,):
+        v = ring.times(a, v)
+    return _primitive(v)
 
 
 @lru_cache(maxsize=None)
@@ -229,75 +268,86 @@ def _ring(n: int) -> _Ring:
     return _Ring(n)
 
 
-def _integer_column(entries) -> tuple[int, tuple]:
-    """A column, its entries given as (numerator, denominator) pairs of
-    coordinates, as (den, the column times den in ring elements), den the
-    lcm of the denominators; scaling a column by a nonzero rational
-    changes no rank, closure, point or contraction."""
-    den = lcm(*[d for entry in entries for _, d in entry])
-    out = []
-    for entry in entries:
-        coeffs = [c * (den // d) for c, d in entry]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        out.append(tuple(coeffs))
-    return den, tuple(out)
+def _integer_column(coords) -> tuple[int, tuple]:
+    """A column, given entry-major as the (numerator, denominator) pairs
+    of its coordinates, as (den, the flat column times den), den the lcm
+    of the denominators; scaling a column by a nonzero rational changes
+    no rank, closure, point or contraction."""
+    den = lcm(*[d for _, d in coords])
+    return den, tuple([c * (den // d) for c, d in coords])
 
 
 def _reduce(ring: _Ring, basis, vector) -> list:
-    """`vector` with every pivot coordinate of the echelon basis cleared,
-    fraction-free: v <- N*v - v[pivot]*row for each row with pivot value
-    N.  The result is a nonzero integer multiple of the reduction over
-    the field, so it is zero iff `vector` lies in the span of the basis.
-    Callers that keep it take its primitive part."""
-    v = list(vector)
-    mul = ring.mul
-    for pivot, value, row in basis:
-        factor = v[pivot]
-        if factor:
-            if value != 1:
-                v = [tuple([value * c for c in x]) for x in v]
-            for i, x in row:
-                v[i] = _sub(v[i], mul(factor, x))
+    """The flat `vector` with every pivot entry of the echelon basis
+    cleared, fraction-free: v <- N*v - f*row, f the entry of v at the
+    row's pivot and N the pivot's value.  f*row is the sum of f_j times
+    the stored shift zeta^j * row, so a step is one list comprehension
+    over Q and at most phi of them in general.  The result is a nonzero
+    integer multiple of the reduction over the field, so it is zero iff
+    `vector` lies in the span of the basis.  Callers that keep it take
+    its primitive part."""
+    v = vector
+    phi = ring.phi
+    for at, value, shifts in basis:
+        if phi == 1:
+            f = v[at]
+            if f:
+                v = [value * x - f * r for x, r in zip(v, shifts[0])]
+            continue
+        terms = [(f, s) for f, s in zip(v[at:at + phi], shifts) if f]
+        if terms:
+            (f, row), *rest = terms
+            v = [value * x - f * r for x, r in zip(v, row)]
+            for g, shift in rest:
+                v = [x - g * s for x, s in zip(v, shift)]
     return v
 
 
-def _echelon(ring: _Ring, vectors) -> list:
-    """Echelon basis of the span of `vectors`, stopping at full row rank.
+def _basis_row(ring: _Ring, row, at: int):
+    """The basis triple (at, N, shifts) of a normalized row whose pivot
+    entry starts at offset `at` and is (N, 0, ..., 0)."""
+    return at, row[at], ring.shifts(row)
 
-    A basis is a list of (pivot, N, row) triples.  Each row is a reduced
-    vector multiplied by adj of its first nonzero coordinate, the pivot,
-    so that the pivot becomes the rational integer N, and then made
-    primitive; it is stored as the (index, entry) pairs of its nonzero
-    coordinates and is zero at the pivots of the rows before it.  The
-    length of the basis is the rank of the span.
+
+def _echelon(ring: _Ring, vectors) -> list:
+    """Echelon basis of the span of flat `vectors`, stopping at full row
+    rank.
+
+    A basis is a list of (at, N, shifts) triples.  Each row is a reduced
+    vector multiplied by adj of its first nonzero entry, the pivot,
+    starting at offset `at`, so that the pivot becomes the rational
+    integer N, and then made primitive; the row is zero at the pivots of
+    the rows before it.  It is stored as `shifts`, the row times 1,
+    zeta, ..., zeta^(phi-1), which `_reduce` combines.  The length of
+    the basis is the rank of the span.
     """
     basis = []
+    phi = ring.phi
     for vector in vectors:
         v = _reduce(ring, basis, vector)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        at = next((i for i, c in enumerate(v) if c), None)
+        if at is None:
             continue
-        row = ring.scaled(v, ring.adj(v[pivot]))
-        basis.append((pivot, row[pivot][0],
-                      tuple((i, x) for i, x in enumerate(row) if x)))
-        if len(basis) == len(v):
+        at -= at % phi
+        basis.append(_basis_row(ring, _normalized(ring, v, at), at))
+        if len(basis) * phi == len(v):
             break
     return basis
 
 
 def _point_key(ring: _Ring, column):
-    """The column times adj of its first nonzero entry, made primitive and
-    signed so that entry is positive: the unique primitive integer
-    vector that is a positive rational multiple of column / lead, so
-    that parallel columns get equal keys even when they differ by a
+    """The flat column times adj of its first nonzero entry, made
+    primitive and signed so that entry is positive: the unique primitive
+    integer vector that is a positive rational multiple of column / lead,
+    so that parallel columns get equal keys even when they differ by a
     power of zeta; None for a zero column, which is a loop."""
-    lead = next((i for i, x in enumerate(column) if x), None)
-    if lead is None:
+    at = next((i for i, c in enumerate(column) if c), None)
+    if at is None:
         return None
-    key = ring.scaled(column, ring.adj(column[lead]))
-    if key[lead][0] < 0:
-        key = [tuple([-c for c in x]) for x in key]
+    at -= at % ring.phi
+    key = _normalized(ring, column, at)
+    if key[at] < 0:
+        key = [-c for c in key]
     return tuple(key)
 
 
@@ -310,8 +360,9 @@ class Matroid:
     """
 
     def __init__(self, rep: Representation):
-        columns = [[[(c.numerator, c.denominator) for c in x.coeffs]
-                    for x in rep.column(j)] for j in range(rep.columns)]
+        columns = [[(c.numerator, c.denominator)
+                    for x in rep.column(j) for c in x.coeffs]
+                   for j in range(rep.columns)]
         self._setup(rep.conductor, rep.labels, rep.rows,
                     [_integer_column(col) for col in columns])
 
@@ -458,11 +509,13 @@ class Matroid:
         if not all(any(v) for v in reduced):
             raise ContractNonFlatError(
                 f"cannot contract non-flat {flat.elements}")
-        pivots = {pivot for pivot, _, _ in basis}
-        kept = [i for i in range(self._rows) if i not in pivots]
+        phi = self._ring.phi
+        pivots = {at for at, _, _ in basis}
+        kept = [i for i in range(0, self._rows * phi, phi) if i not in pivots]
         return Matroid._from_columns(
             self.conductor, ground, len(kept),
-            [(1, tuple(v[i] for i in kept)) for v in reduced])
+            [(1, tuple([c for i in kept for c in v[i:i + phi]]))
+             for v in reduced])
 
     # -- flats -------------------------------------------------------------
 
@@ -497,9 +550,10 @@ class Matroid:
         # At the flat C (ground positions, sorted) every element i outside
         # C carries residues[i], its column reduced against an echelon
         # basis of C, and keys[i], the point key of that residue, so equal
-        # keys are the points of M/C.  One row, from the first element of
-        # the point taken, extends the basis; a residue that is zero at its
-        # pivot is left unchanged by the step, and keeps its key.
+        # keys are the points of M/C.  One row extends the basis: the key
+        # of the point taken, already a normalized residue.  A residue
+        # that is zero at its pivot entry is left unchanged by the step,
+        # and keeps its key.
         def walk(flat, rank, last, residues, keys):
             points = {}
             for i, key in keys.items():
@@ -519,14 +573,16 @@ class Matroid:
                     found.append(cover)
                     continue
                 self._echelons += 1
-                step = _echelon(ring, [residues[first]])
-                pivot = step[0][0]
+                row = keys[first]
+                at = next(i for i, c in enumerate(row) if c)
+                step = [_basis_row(ring, row, at)]
+                end = at + ring.phi
                 inside = set(point)
                 down, down_keys = {}, {}
                 for i, v in residues.items():
                     if i in inside:
                         continue
-                    if v[pivot]:
+                    if any(v[at:end]):
                         v = _primitive(_reduce(ring, step, v))
                         down_keys[i] = _point_key(ring, v)
                     else:
@@ -546,10 +602,12 @@ class Matroid:
         """The matrix, built on demand from the integer columns: the one
         the matroid was built from, the parent's columns for a restriction,
         the projected integer columns for a contraction."""
-        n = self.conductor
-        columns = [[CyclotomicNumber(n, [Fraction(c, den) for c in x])
-                    for x in self._columns[e]]
-                   for e, den in self._denominators.items()]
+        n, phi = self.conductor, self._ring.phi
+        columns = []
+        for e, den in self._denominators.items():
+            col = [Fraction(c, den) for c in self._columns[e]]
+            columns.append([CyclotomicNumber(n, col[i:i + phi])
+                            for i in range(0, len(col), phi)])
         entries = tuple(tuple(col[i] for col in columns)
                         for i in range(self._rows))
         return Representation(n, entries, self.ground)

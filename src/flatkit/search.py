@@ -203,9 +203,10 @@ def find_ordinary_flat_brute(M: Matroid, k: int,
 def find_elementary_flat_brute(M: Matroid, k: int,
                                budget: int = DEFAULT_CLOSURE_BUDGET,
                                counter=None):
-    """First elementary flat in the canonical rank-k slice, or None."""
-    got = _scan_slice(M, k, budget, counter,
-                      lambda fl: is_elementary(M, fl))
+    """First elementary flat in the canonical rank-k slice, or None.
+    The scan runs on a simple matroid, whose points are its elements, so
+    a rank-k flat is elementary iff it has k elements."""
+    got = _scan_slice(M, k, budget, counter, lambda fl: len(fl) == k)
     return got[0] if got else None
 
 

@@ -28,6 +28,7 @@ from flatkit.cyclotomic import (
 )
 from flatkit.errors import BudgetExceededError
 from flatkit.matroid import Flat, Matroid, Representation
+from flatkit.search import find_elementary_flat_brute, is_elementary
 
 
 @st.composite
@@ -232,6 +233,33 @@ def test_flat_walk_matches_brute_oracle_on_catalog(ref):
 
 
 # ---------------------------------------------------------------------------
+# the elementary scan against the is_elementary predicate
+#
+# The brute scan runs on simple matroids only, where it tests a flat's
+# size in place of counting its points.
+
+def assert_elementary_scan(M, ranks):
+    for k in ranks:
+        plain = next((fl for fl in M.flats_of_rank(k)
+                      if is_elementary(M, fl)), None)
+        assert find_elementary_flat_brute(M, k) == plain
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_elementary_scan_matches_is_elementary(case):
+    rep, _ = case
+    M, _ = Matroid(rep).simplify()
+    assert_elementary_scan(M, range(1, M.rank() + 1))
+
+
+@pytest.mark.parametrize("ref", ["ag23_power:2", "uniform_power:2,3,3"])
+def test_elementary_scan_matches_is_elementary_on_catalog(ref):
+    M = Matroid(build_ref(ref))
+    assert_elementary_scan(M, range(1, 5))
+
+
+# ---------------------------------------------------------------------------
 # the integer kernel against the field kernel
 #
 # The reference below is the elimination over the field Q(zeta_n): every
@@ -410,3 +438,38 @@ def test_integer_kernel_dense_rank_8(n):
                ["e1", "e6", "e9"], list(labels[:7]), list(labels[2:10])]
     assert_kernels_agree(M, R, subsets)
     assert_contractions_agree(M, R, ["e1", "e6", "e9"], subsets)
+
+
+@pytest.mark.parametrize("n, bound", [(7, 9), (23, 1)])
+def test_integer_kernel_dense_4x8_high_phi(n, bound):
+    """A dense 4 x 8 matrix at phi(n) = 6 and 22, the largest phi a
+    matrix file allows, where a reduction step combines up to phi zeta
+    shifts of a row: two planted combinations and a column times zeta^5,
+    which is parallel to it but has other coordinates.  Coordinates are
+    numerator / denominator with both bounded by `bound`; at phi = 22
+    they stay integers in -1..1, as the field reference's Fraction
+    arithmetic grows steeply with them."""
+    rng = random.Random(n)
+
+    def scalar():
+        return CyclotomicNumber(n, [Fraction(rng.randint(-bound, bound),
+                                             rng.randint(1, bound))
+                                    for _ in range(euler_phi(n))])
+
+    cols = [tuple(scalar() for _ in range(4)) for _ in range(5)]
+    zeta5 = CyclotomicNumber(n, [0] * 5 + [1])
+    a, b = scalar(), scalar()
+    cols.append(tuple(a * x + b * y for x, y in zip(cols[0], cols[1])))
+    cols.append(tuple(zeta5 * x for x in cols[2]))
+    cols.append(tuple(b * x - y for x, y in zip(cols[5], cols[3])))
+    labels = tuple(f"e{j + 1}" for j in range(len(cols)))
+    rep = Representation(n, tuple(tuple(c[i] for c in cols)
+                                  for i in range(4)), labels)
+    M, R = Matroid(rep), FieldMatroid(rep)
+    assert M.rank(labels) == 4
+    assert ("e3", "e7") in M.parallel_classes()
+    assert M.closure(["e1", "e2", "e4"]).elements == (
+        "e1", "e2", "e4", "e6", "e8")
+    subsets = [list(labels), ["e1", "e2", "e4"], ["e3", "e5"]]
+    assert_kernels_agree(M, R, subsets)
+    assert_contractions_agree(M, R, ["e3"], subsets)
