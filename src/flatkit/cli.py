@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("input")
     a.add_argument("--flats", type=int, default=None, metavar="K")
     a.add_argument("--simple", action="store_true")
-    a.add_argument("--summary", action="store_true")
     a.add_argument("--json", action="store_true")
     a.add_argument("--budget", type=int, default=DEFAULT_CLOSURE_BUDGET)
     a.set_defaults(func=cmd_analyze)

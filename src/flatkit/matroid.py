@@ -5,9 +5,11 @@ each column is scaled once to integer power-basis coordinates in
 Z[zeta_n] (`_integer_column`), and its matrix is built only on demand.
 A column, like every vector of the rank kernel, is one flat sequence of
 d*phi(n) Python ints, entry-major: entry i is the slice
-[i*phi, (i+1)*phi).  Every rank question is answered by one exact,
-fraction-free routine: `_echelon` builds an echelon basis of a span and
-`_reduce` reduces a vector against it.  A basis row is multiplied by
+[i*phi, (i+1)*phi).  A single element of Z[zeta_n] is a vector of one
+entry, so one product (`_Ring.times`, an element times a vector) serves
+both.  Every rank question is answered by one exact, fraction-free
+routine: `_echelon` builds an echelon basis of a span and `_reduce`
+reduces a vector against it.  A basis row is multiplied by
 adj(p), the product of the other Galois conjugates of its pivot p, so
 that the pivot becomes the rational integer N(p), and is stored with
 its zeta shifts, row times zeta^j.  Reducing v against it is
@@ -48,9 +50,9 @@ DEFAULT_CLOSURE_BUDGET = 10**7
 # Largest conductor a matrix file may declare.  Rank work grows steeply
 # with phi(n), most of it in adj, the product of the phi(n) - 1 other
 # conjugates of each pivot and point lead.  For a dense 4x8 matrix with
-# coordinates randint(-5, 5) / randint(1, 4), `analyze` took 0.17-0.20 s
-# at n = 23 and 2.7 s at n = 37, and `analyze --flats 2` 1.1-1.2 s and
-# 15 s (2-vCPU VM, Python 3.11).
+# coordinates randint(-5, 5) / randint(1, 4), in-process `analyze` took
+# 0.15 s at n = 23 and 2.3 s at n = 37, and `analyze --flats 2` 0.98 s
+# and 9.8 s (medians of 3 runs, 2-vCPU VM, Python 3.11).
 MAX_FILE_CONDUCTOR = 24
 
 
@@ -140,69 +142,42 @@ class Flat:
 class _Ring:
     """Arithmetic in Z[zeta_n] on power-basis coordinates held as ints.
 
-    A single element is the tuple of its coefficients of 1, zeta, ...,
-    zeta^(phi(n)-1); `mul` and `adj` return it trimmed, so that zero is
-    () and so falsy.  A vector of d entries is one flat sequence of
-    d*phi ints, entry-major: entry i is the slice [i*phi, (i+1)*phi).
-    `times` (an element times a vector) and `shifts` (a vector times
-    the powers of zeta) act on whole vectors.  Products are reduced
-    modulo the monic integer Phi_n, so nothing is divided.
+    A vector of d entries is one flat sequence of d*phi(n) ints,
+    entry-major: entry i is the slice [i*phi, (i+1)*phi), its
+    coefficients of 1, zeta, ..., zeta^(phi-1).  An element is a vector
+    of one entry.  `times` (an element times a vector) is the only
+    product, and `_times_zeta` the only reduction modulo the monic
+    integer Phi_n, so nothing is divided.  `adj` maps an element through
+    the matrices of the Galois automorphisms, built once per ring.
     """
 
-    __slots__ = ("n", "phi", "low", "fold", "units")
+    __slots__ = ("n", "phi", "low", "fold", "galois")
 
     def __init__(self, n: int):
         poly = cyclotomic_polynomial(n)
         self.n = n
-        self.phi = len(poly) - 1
+        self.phi = phi = len(poly) - 1
         # zeta^phi = -(sum of the lower terms of Phi_n)
         self.low = tuple(int(c) for c in poly[:-1])
         self.fold = tuple((j, c) for j, c in enumerate(self.low) if c)
-        # the Galois automorphisms zeta -> zeta^k other than the identity
-        self.units = tuple(k for k in range(2, n) if gcd(k, n) == 1)
+        powers = [[1] + [0] * (phi - 1)]
+        for _ in range(n - 1):
+            powers.append(self._times_zeta(powers[-1]))
+        # the rows of the phi x phi matrix of each automorphism
+        # zeta -> zeta^k other than the identity: its column j is zeta^(jk)
+        self.galois = tuple(
+            tuple(zip(*[powers[j * k % n] for j in range(phi)]))
+            for k in range(2, n) if gcd(k, n) == 1)
 
-    def _reduced(self, coeffs: list) -> tuple:
-        """The element with coefficient list `coeffs`, of any degree."""
-        phi = self.phi
-        for d in range(len(coeffs) - 1, phi - 1, -1):
-            c = coeffs.pop()
-            if c:
-                for j, f in self.fold:
-                    coeffs[d - phi + j] -= c * f
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """The product a * b."""
-        if not a or not b:
-            return ()
-        if len(a) == 1:
-            c = a[0]
-            return tuple([c * x for x in b])
-        if len(b) == 1:
-            c = b[0]
-            return tuple([c * x for x in a])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return self._reduced(out)
-
-    def adj(self, a) -> tuple:
-        """The product of the Galois conjugates of a other than a itself,
-        so that a * adj(a) is the rational integer N(a), nonzero when a
-        is.  A rational a is its own pivot, and 1 is returned."""
-        out = (1,)
-        if not any(a[1:]):
-            return out
-        n = self.n
-        for k in self.units:
-            conj = [0] * n
-            for i, c in enumerate(a):
-                conj[i * k % n] += c
-            out = self.mul(out, self._reduced(conj))
+    def adj(self, a) -> list:
+        """The product of the Galois conjugates of the element a other
+        than a itself, so that a * adj(a) is the rational integer N(a),
+        nonzero when a is."""
+        # for n = 1 and 2 there is no other conjugate, and adj is 1
+        out, *rest = [[sum(map(operator.mul, row, a)) for row in rows]
+                      for rows in self.galois] or [[1]]
+        for conj in rest:
+            out = self.times(conj, out)
         return out
 
     def _times_zeta(self, v) -> list:
@@ -226,12 +201,11 @@ class _Ring:
             out.append(self._times_zeta(out[-1]))
         return out
 
-    def times(self, a: tuple, v) -> list:
+    def times(self, a, v) -> list:
         """The flat vector a*v for an element a, entry by entry through
         a's phi x phi integer multiplication matrix, whose j-th column
         is zeta^j * a."""
         phi = self.phi
-        a = list(a) + [0] * (phi - len(a))
         entries = zip(*[iter(v)] * phi)
         if phi == 2:
             # zeta^2 = -c0 - c1*zeta, so zeta*a = (-c0*a1, a0 - c1*a1)
@@ -254,12 +228,19 @@ def _primitive(v) -> list:
     return v
 
 
+def _pivot(ring: _Ring, v):
+    """The offset of the first nonzero entry of the flat vector v (the
+    entry holding its first nonzero coordinate), None if v is zero."""
+    at = next((i for i, c in enumerate(v) if c), None)
+    return at if at is None else at - at % ring.phi
+
+
 def _normalized(ring: _Ring, v, at: int) -> list:
     """The primitive part of v times adj of its entry at offset `at`, so
     that entry becomes a rational integer: (N, 0, ..., 0)."""
-    a = ring.adj(v[at:at + ring.phi])
-    if a != (1,):
-        v = ring.times(a, v)
+    lead = v[at:at + ring.phi]
+    if any(lead[1:]):
+        v = ring.times(ring.adj(lead), v)
     return _primitive(v)
 
 
@@ -325,10 +306,9 @@ def _echelon(ring: _Ring, vectors) -> list:
     phi = ring.phi
     for vector in vectors:
         v = _reduce(ring, basis, vector)
-        at = next((i for i, c in enumerate(v) if c), None)
+        at = _pivot(ring, v)
         if at is None:
             continue
-        at -= at % phi
         basis.append(_basis_row(ring, _normalized(ring, v, at), at))
         if len(basis) * phi == len(v):
             break
@@ -341,10 +321,9 @@ def _point_key(ring: _Ring, column):
     integer vector that is a positive rational multiple of column / lead,
     so that parallel columns get equal keys even when they differ by a
     power of zeta; None for a zero column, which is a loop."""
-    at = next((i for i, c in enumerate(column) if c), None)
+    at = _pivot(ring, column)
     if at is None:
         return None
-    at -= at % ring.phi
     key = _normalized(ring, column, at)
     if key[at] < 0:
         key = [-c for c in key]
@@ -574,7 +553,7 @@ class Matroid:
                     continue
                 self._echelons += 1
                 row = keys[first]
-                at = next(i for i, c in enumerate(row) if c)
+                at = _pivot(ring, row)
                 step = [_basis_row(ring, row, at)]
                 end = at + ring.phi
                 inside = set(point)

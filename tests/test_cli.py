@@ -35,8 +35,8 @@ def test_catalog_export_roundtrip(capsys, tmp_path):
     path = tmp_path / "ag23.mat"
     code, _, _ = run(capsys, "catalog", "--export", "ag23", str(path))
     assert code == 0
-    c1, out1, _ = run(capsys, "analyze", str(path), "--summary")
-    c2, out2, _ = run(capsys, "analyze", "ag23", "--summary")
+    c1, out1, _ = run(capsys, "analyze", str(path))
+    c2, out2, _ = run(capsys, "analyze", "ag23")
     assert c1 == c2 == 0
     assert out1 == out2
 
@@ -45,12 +45,12 @@ def test_catalog_export_parametrized(capsys, tmp_path):
     path = tmp_path / "u23.mat"
     code, _, _ = run(capsys, "catalog", "--export", "uniform:2,3", str(path))
     assert code == 0
-    code, out, _ = run(capsys, "analyze", str(path), "--summary")
+    code, out, _ = run(capsys, "analyze", str(path))
     assert code == 0 and "rank 2, 3 elements" in out
 
 
 def test_analyze_summary(capsys):
-    code, out, _ = run(capsys, "analyze", "motzkin", "--summary")
+    code, out, _ = run(capsys, "analyze", "motzkin")
     assert code == 0
     assert "rank 4, 6 elements" in out and "simple" in out
 
@@ -178,6 +178,12 @@ def test_threads_option_removed(capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--threads", "2"])
         assert exc.value.code == 2
+
+
+def test_summary_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "ag23", "--summary"])
+    assert exc.value.code == 2
 
 
 def test_search_budget_must_be_an_integer(capsys):

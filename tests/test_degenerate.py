@@ -11,6 +11,7 @@ separate field-aware point detection from coordinate-wise shortcuts.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,17 @@ from flatkit.cyclotomic import (
     _trim,
     cyclotomic_polynomial,
     euler_phi,
+    one,
     zero,
 )
 from flatkit.errors import BudgetExceededError
-from flatkit.matroid import Flat, Matroid, Representation
+from flatkit.matroid import (
+    MAX_FILE_CONDUCTOR,
+    Flat,
+    Matroid,
+    Representation,
+    _ring,
+)
 from flatkit.search import find_elementary_flat_brute, is_elementary
 
 
@@ -309,6 +317,13 @@ def inv(x):
     return CyclotomicNumber(x.conductor, s)
 
 
+def field_conjugate(x, k):
+    """The image of x under the automorphism zeta -> zeta^k."""
+    n = x.conductor
+    return sum((CyclotomicNumber(n, [0] * (j * k % n) + [c])
+                for j, c in enumerate(x.coeffs)), zero(n))
+
+
 def field_reduce(basis, vector):
     v = list(vector)
     for pivot, row in basis:
@@ -399,6 +414,27 @@ def assert_contractions_agree(M, R, flat_seed, subsets):
     assert Q.ground == RQ.ground
     assert_kernels_agree(Q, RQ, [[e for e in S if e in Q.ground]
                                  for S in subsets])
+
+
+@pytest.mark.parametrize("n", range(1, MAX_FILE_CONDUCTOR + 1))
+def test_adj_times_element_is_its_norm(n):
+    """a * adj(a) is [N, 0, ..., 0] for N the norm of a, the product of
+    all its Galois conjugates in the field reference: nonzero for a
+    nonzero a, and a rational integer for an integral one."""
+    ring, phi = _ring(n), euler_phi(n)
+    units = [k for k in range(1, n + 1) if gcd(k, n) == 1]
+    rng = random.Random(n)
+    for bound in (1, 1, 3, 3, 9):
+        a = [rng.randint(-bound, bound) for _ in range(phi)]
+        if not any(a):
+            continue
+        x, norm = CyclotomicNumber(n, a), one(n)
+        for k in units:
+            norm = norm * field_conjugate(x, k)
+        N = norm.coeffs[0]
+        assert N != 0 and N.denominator == 1
+        assert norm == CyclotomicNumber(n, [N])
+        assert ring.times(a, ring.adj(a)) == [N] + [0] * (phi - 1)
 
 
 @settings(max_examples=60, deadline=None)
