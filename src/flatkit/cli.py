@@ -201,10 +201,13 @@ def _verify_trial(suite, M, k):
         return w, w is not None
     if suite == "main-theorem":
         flat, witness, _ = find_ordinary_flat_constructive(M, k)
-        # independent recheck on a fresh matroid, no cache reuse
-        fresh = Matroid(M.to_representation())
-        recheck = is_ordinary(fresh, fresh.as_flat(flat.elements))
-        return witness, recheck is not None
+        # independent recheck on a matroid rebuilt from the integer
+        # columns; a witness that is not a flat there fails the trial
+        fresh = M.rebuilt()
+        closed = fresh.closure(flat.elements)
+        ok = (set(closed.elements) == set(flat.elements)
+              and is_ordinary(fresh, closed) is not None)
+        return witness, ok
     if suite == "corollary":
         fl = find_elementary_flat(M, k)
         return fl, fl is not None
@@ -292,6 +295,10 @@ def cmd_search(args) -> int:
         _print(f"dumped counterexample to {path}")
         return EXIT_COUNTEREXAMPLE
     if report.outcome == "budget exceeded":
+        # stderr, so that --json stdout stays one document
+        path = f"failure-search-c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
+        save_matrix(report.instance, path)
+        sys.stderr.write(f"dumped budget-exceeded instance to {path}\n")
         return EXIT_BUDGET
     return EXIT_FOUND
 

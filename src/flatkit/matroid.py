@@ -577,6 +577,14 @@ class Matroid:
 
     # -- materialization ---------------------------------------------------
 
+    def rebuilt(self) -> "Matroid":
+        """The same matroid built afresh from its integer columns: its
+        point keys, full rank and echelon bases are recomputed, and
+        nothing derived on self carries over."""
+        return Matroid._from_columns(
+            self.conductor, self.ground, self._rows,
+            [(self._denominators[e], self._columns[e]) for e in self.ground])
+
     def to_representation(self) -> Representation:
         """The matrix, built on demand from the integer columns: the one
         the matroid was built from, the parent's columns for a restriction,

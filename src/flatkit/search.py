@@ -91,7 +91,7 @@ class SearchReport:
     outcome: str     # "witness found" | "exhausted" | "budget exceeded"
     witness: object = None   # OrdinaryWitness | Flat | None
     stats: SearchStats = field(default_factory=SearchStats)
-    instance: Representation = None  # set for counterexample reports
+    instance: Representation = None  # the instance the search stopped on
 
     def to_json_dict(self) -> dict:
         """The report as a JSON document.  `ms` is written as 0.0 so that

@@ -147,10 +147,22 @@ def test_search_conjecture2_k2(capsys):
     assert code == 0
 
 
-def test_search_budget_exit_6(capsys):
-    code, _, _ = run(capsys, "search", "--conjecture", "1", "--k", "3",
-                     "--trials", "2", "--seed", "3", "--budget", "2")
+def test_search_budget_exit_6(capsys, monkeypatch, tmp_path):
+    from flatkit.matroid import load_matrix
+    from flatkit.search import conjecture_instances
+
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "search", "--conjecture", "1", "--k", "3",
+                         "--trials", "2", "--seed", "3", "--budget", "2",
+                         "--json")
     assert code == 6
+    doc = json.loads(out)  # the dump notice is on stderr
+    s, M = next(conjecture_instances(1, 3, 1, 3))
+    assert doc["outcome"] == "budget exceeded" and doc["seed"] == s
+    path = f"failure-search-c1-k3-seed{s}.mat"
+    assert os.listdir(tmp_path) == [path]
+    assert load_matrix(tmp_path / path) == M.to_representation()
+    assert f"dumped budget-exceeded instance to {path}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,6 +276,33 @@ def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
                      "--seed", "3", "--conductor", "3")
     assert code == 4
     assert os.listdir(tmp_path) == ["failure-kelly-k2-seed3000009.mat"]
+
+
+@pytest.mark.parametrize("planted", ["not a flat", "whole ground set"])
+def test_verify_main_theorem_recheck_failure_exit_4(
+        capsys, monkeypatch, tmp_path, planted):
+    """A witness that is not an ordinary flat of the rebuilt matroid, here
+    9 elements of a rank-8 instance (not a flat) or the whole ground set
+    (a flat, not ordinary), fails its trial: exit 4, instance dumped."""
+    from flatkit.catalog import trial_instances
+    from flatkit.matroid import Flat, load_matrix
+
+    def planted_witness(M, k):
+        elements = M.ground[:9] if planted == "not a flat" else M.ground
+        return Flat(elements, M.rank()), None, None
+
+    monkeypatch.setattr(cli, "find_ordinary_flat_constructive",
+                        planted_witness)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                       "3", "--trials", "1", "--seed", "0", "--json")
+    assert code == 4
+    doc = json.loads(out.splitlines()[0])
+    assert [r["outcome"] for r in doc["reports"]] == ["exhausted"]
+    stem = "failure-main-theorem-k3-seed0"
+    assert os.listdir(tmp_path) == [stem + ".mat"]
+    _, M = next(trial_instances(8, 1, 0, 1, (12, 14)))
+    assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
 
 
 @pytest.mark.parametrize("argv", [

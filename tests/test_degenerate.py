@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatkit.catalog import build_ref
+from flatkit.catalog import build_ref, trial_instances
 from flatkit.cyclotomic import (
     CyclotomicNumber,
     _poly_divmod,
@@ -193,6 +193,27 @@ def test_minors_are_the_matroids_of_their_matrices(case, data):
     # the span of F is projected out: rank(F) coordinates fewer
     assert Q.to_representation().rows == rep.rows - F.rank
     assert_minor_is_its_matrix(Q, data)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+@pytest.mark.parametrize("rank, cols", [(4, (8, 10)), (8, (12, 14))])
+def test_rebuilt_matroid_shares_no_derived_state(conductor, rank, cols):
+    """`rebuilt` is the matroid of the matrix, starts with no echelon
+    built, and keys its points afresh instead of copying them."""
+    rng = random.Random(conductor * 100 + rank)
+    for _, M in trial_instances(rank, 3, 11, conductor, cols):
+        F = M.closure(M.ground[:rank - 2])
+        for A in (M, M.restrict(M.ground[1:]), M.contract(F)):
+            B = A.rebuilt()
+            assert B.rank_calls == 0
+            subsets = [rng.sample(A.ground, rng.randint(0, len(A.ground)))
+                       for _ in range(4)]
+            fresh = Matroid(A.to_representation())
+            assert_same_matroid(B, fresh, subsets)
+            e, f = A.ground[:2]
+            A._points[f] = A._points[e]  # a wrong key: e and f merged
+            assert A.parallel_classes() != fresh.parallel_classes()
+            assert A.rebuilt().parallel_classes() == fresh.parallel_classes()
 
 
 # ---------------------------------------------------------------------------

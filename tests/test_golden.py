@@ -44,6 +44,10 @@ GOLDEN = {
         (0, "91b6f97c489326dfd46447b5c5f0e605453a1ab434baa5fd3745ad43e636e249"),
     "verify --suite corollary --k 2 --trials 5 --seed 0":
         (0, "c7b9d39c0cc5af0f13ea5544cb90d5cc7764b194959fd3f2cc77dba0c25f2295"),
+    "verify --suite main-theorem --k 3 --trials 5 --seed 0":
+        (0, "b30414cc059d530cee834c4e8ef60f14686518e691bdd531bf79004f3bdf7b0a"),
+    "verify --suite main-theorem --k 2 --trials 5 --seed 0 --conductor 3":
+        (0, "688ace7a8decacc16994216a594312b2400029298ebee124fb7efb3282a1a6d3"),
 }
 
 
