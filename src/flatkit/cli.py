@@ -230,14 +230,15 @@ def cmd_verify(args) -> int:
     for s, M in cat.trial_instances(rank, args.trials, args.seed,
                                     args.conductor, cols):
         t0 = time.perf_counter()
-        before = M.rank_calls
+        rank_calls, flats = M.rank_calls, M.flats_formed
         try:
             witness, ok = _verify_trial(args.suite, M, k)
         except InternalInconsistencyError as exc:
             # a failed theorem check ends the run; leave what replays it
             _dump_failure(args.suite, k, s, M, exc.trace)
             raise
-        stats = SearchStats(rank_calls=M.rank_calls - before,
+        stats = SearchStats(rank_calls=M.rank_calls - rank_calls,
+                            flats_enumerated=M.flats_formed - flats,
                             ms=(time.perf_counter() - t0) * 1000)
         reports.append(SearchReport(
             mode="verify", seed=s, conductor=args.conductor, rank=rank, k=k,
@@ -265,14 +266,15 @@ def cmd_verify(args) -> int:
 def _dump_failure(suite, k, seed, M, trace=None):
     """Write the matrix of a failed trial's matroid to the working
     directory, and beside it the construction trace of a failed theorem
-    check when it carries one."""
+    check when it carries one.  The notices go to stderr, so that --json
+    stdout stays one document."""
     stem = f"failure-{suite}-k{k}-seed{seed}"
     save_matrix(M.to_representation(), stem + ".mat")
-    _print(f"dumped failing instance to {stem}.mat")
+    sys.stderr.write(f"dumped failing instance to {stem}.mat\n")
     if trace is not None:
         with open(stem + ".trace.json", "w") as fh:
             json.dump(trace.to_json_dict(), fh)
-        _print(f"dumped construction trace to {stem}.trace.json")
+        sys.stderr.write(f"dumped construction trace to {stem}.trace.json\n")
 
 
 def cmd_search(args) -> int:
@@ -287,15 +289,15 @@ def cmd_search(args) -> int:
     else:
         _print(f"conjecture {args.conjecture}, k={args.k}, "
                f"rank {report.rank}: {report.mode} / {report.outcome} "
-               f"({report.stats.flats_enumerated} closures, "
+               f"({report.stats.flats_enumerated} flats, "
                f"{report.stats.rank_calls} rank calls)")
+    # dump notices go to stderr, so that --json stdout stays one document
     if report.mode == "counterexample":
         path = f"counterexample-c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
         save_matrix(report.instance, path)
-        _print(f"dumped counterexample to {path}")
+        sys.stderr.write(f"dumped counterexample to {path}\n")
         return EXIT_COUNTEREXAMPLE
     if report.outcome == "budget exceeded":
-        # stderr, so that --json stdout stays one document
         path = f"failure-search-c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
         save_matrix(report.instance, path)
         sys.stderr.write(f"dumped budget-exceeded instance to {path}\n")

@@ -34,14 +34,7 @@ class ContractNonFlatError(UsageError):
 
 
 class BudgetExceededError(FlatkitError):
-    """An enumeration exceeded its work budget.
-
-    Carries the partial statistics gathered before the abort.
-    """
-
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats
+    """An enumeration exceeded its work budget."""
 
 
 class GenerationError(FlatkitError):

@@ -330,12 +330,21 @@ def _point_key(ring: _Ring, column):
     return tuple(key)
 
 
+@dataclass
+class _Meter:
+    """Work counts shared by a matroid and every minor taken from it:
+    echelon bases built and flats formed."""
+
+    echelons: int = 0
+    flats: int = 0
+
+
 class Matroid:
     """The matroid of the columns of a Representation.
 
     Minors are matroids of derived integer columns: a restriction keeps
     a subset of the columns, and contracting a flat projects its span out
-    of the remaining columns.
+    of the remaining columns.  A minor shares its parent's work meter.
     """
 
     def __init__(self, rep: Representation):
@@ -346,14 +355,17 @@ class Matroid:
                     [_integer_column(col) for col in columns])
 
     @classmethod
-    def _from_columns(cls, conductor, labels, rows, columns, points=None):
+    def _from_columns(cls, conductor, labels, rows, columns, points=None,
+                      meter=None):
         """The matroid of `rows`-long columns given as `_integer_column`
-        makes them; `points` are their point keys if already known."""
+        makes them; `points` are their point keys if already known, and
+        `meter` is the work meter it shares (a fresh one if None)."""
         matroid = cls.__new__(cls)
-        matroid._setup(conductor, labels, rows, columns, points)
+        matroid._setup(conductor, labels, rows, columns, points, meter)
         return matroid
 
-    def _setup(self, conductor, labels, rows, columns, points=None):
+    def _setup(self, conductor, labels, rows, columns, points=None,
+               meter=None):
         self.ground: tuple[str, ...] = tuple(labels)
         self._ground_set = frozenset(self.ground)
         self._ring = _ring(conductor)
@@ -362,7 +374,7 @@ class Matroid:
         self._columns = {e: col for e, (_, col) in zip(labels, columns)}
         self._position = {e: j for j, e in enumerate(self.ground)}
         self._rank = None
-        self._echelons = 0
+        self._meter = _Meter() if meter is None else meter
         if points is None:
             points = [_point_key(self._ring, col) for _, col in columns]
         self._points = dict(zip(self.ground, points))
@@ -375,8 +387,13 @@ class Matroid:
 
     @property
     def rank_calls(self) -> int:
-        """Echelon bases built by this matroid; its minors count their own."""
-        return self._echelons
+        """Echelon bases built by this matroid and its minors."""
+        return self._meter.echelons
+
+    @property
+    def flats_formed(self) -> int:
+        """Flats formed by `flats_of_rank` on this matroid and its minors."""
+        return self._meter.flats
 
     def _labels(self, labels) -> frozenset:
         key = frozenset(labels)
@@ -390,7 +407,7 @@ class Matroid:
 
     def _basis(self, labels):
         """Echelon basis of the columns of `labels`, taken in ground order."""
-        self._echelons += 1
+        self._meter.echelons += 1
         return _echelon(self._ring,
                         [self._columns[e] for e in self._order(labels)])
 
@@ -468,7 +485,7 @@ class Matroid:
         return Matroid._from_columns(
             self.conductor, ground, self._rows,
             [(self._denominators[e], self._columns[e]) for e in ground],
-            [self._points[e] for e in ground])
+            [self._points[e] for e in ground], self._meter)
 
     def contract(self, flat: Flat) -> "Matroid":
         """Contract a flat; the result is loopless when self is.
@@ -494,12 +511,11 @@ class Matroid:
         return Matroid._from_columns(
             self.conductor, ground, len(kept),
             [(1, tuple([c for i in kept for c in v[i:i + phi]]))
-             for v in reduced])
+             for v in reduced], meter=self._meter)
 
     # -- flats -------------------------------------------------------------
 
-    def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET,
-                      counter=None):
+    def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET):
         """All rank-k flats, each once, canonically sorted (by the ground
         positions of their elements).
 
@@ -512,19 +528,17 @@ class Matroid:
         flat of rank at most k is formed exactly once.
 
         `budget` bounds the number of flats the walk forms, at ranks 1..k;
-        `counter` is an optional mutable [n] accumulating that number
-        across calls.
+        each one is counted in `flats_formed`.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
         if k < 0 or k > self.rank():
             raise UsageError(f"flat rank {k} out of range 0..{self.rank()}")
-        if counter is None:
-            counter = [0]
         if k == 0:
             return [self.closure([])]
         found = []
-        ring = self._ring
+        ring, meter = self._ring, self._meter
+        limit = meter.flats + budget
 
         # At the flat C (ground positions, sorted) every element i outside
         # C carries residues[i], its column reduced against an echelon
@@ -541,17 +555,14 @@ class Matroid:
                 first = point[0]
                 if first <= last:
                     continue
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise BudgetExceededError(
-                        f"closure budget {budget} exceeded",
-                        stats={"closures": counter[0],
-                               "flats_found": len(found)})
+                meter.flats += 1
+                if meter.flats > limit:
+                    raise BudgetExceededError(f"flat budget {budget} exceeded")
                 cover = tuple(sorted(flat + tuple(point)))
                 if rank + 1 == k:
                     found.append(cover)
                     continue
-                self._echelons += 1
+                meter.echelons += 1
                 row = keys[first]
                 at = _pivot(ring, row)
                 step = [_basis_row(ring, row, at)]
@@ -579,8 +590,8 @@ class Matroid:
 
     def rebuilt(self) -> "Matroid":
         """The same matroid built afresh from its integer columns: its
-        point keys, full rank and echelon bases are recomputed, and
-        nothing derived on self carries over."""
+        point keys, full rank and echelon bases are recomputed on a fresh
+        work meter, and nothing derived on self carries over."""
         return Matroid._from_columns(
             self.conductor, self.ground, self._rows,
             [(self._denominators[e], self._columns[e]) for e in self.ground])

@@ -14,7 +14,6 @@ for representable input it can only mean a toolkit bug.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .catalog import trial_instances
@@ -76,6 +75,8 @@ def _flat_elems(fl):
 
 @dataclass
 class SearchStats:
+    """Work on a trial matroid and its minors, read off its meter."""
+
     rank_calls: int = 0
     flats_enumerated: int = 0
     ms: float = 0.0
@@ -179,14 +180,14 @@ def is_elementary(M: Matroid, F: Flat) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def _scan_slice(M, k, budget, counter, test):
+def _scan_slice(M, k, budget, test):
     """First (flat, test(flat)) in the canonical rank-k slice with a
     truthy test result, or None."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
     if not (1 <= k <= M.rank()):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
-    for fl in M.flats_of_rank(k, budget=budget, counter=counter):
+    for fl in M.flats_of_rank(k, budget=budget):
         hit = test(fl)
         if hit:
             return fl, hit
@@ -194,19 +195,17 @@ def _scan_slice(M, k, budget, counter, test):
 
 
 def find_ordinary_flat_brute(M: Matroid, k: int,
-                             budget: int = DEFAULT_CLOSURE_BUDGET,
-                             counter=None):
+                             budget: int = DEFAULT_CLOSURE_BUDGET):
     """First ordinary flat in the canonical rank-k slice, with witness."""
-    return _scan_slice(M, k, budget, counter, lambda fl: is_ordinary(M, fl))
+    return _scan_slice(M, k, budget, lambda fl: is_ordinary(M, fl))
 
 
 def find_elementary_flat_brute(M: Matroid, k: int,
-                               budget: int = DEFAULT_CLOSURE_BUDGET,
-                               counter=None):
+                               budget: int = DEFAULT_CLOSURE_BUDGET):
     """First elementary flat in the canonical rank-k slice, or None.
     The scan runs on a simple matroid, whose points are its elements, so
     a rank-k flat is elementary iff it has k elements."""
-    got = _scan_slice(M, k, budget, counter, lambda fl: len(fl) == k)
+    got = _scan_slice(M, k, budget, lambda fl: len(fl) == k)
     return got[0] if got else None
 
 
@@ -222,7 +221,8 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
     recursive step restricts to the union of two flats over a common
     rank-4(k-2) flat, contracts a two-point line, recurses at k-1, and
     reassembles an ordinary flat from the lifted witness.  `budget`
-    bounds the flats formed by all the levels together.
+    bounds the flats formed by all the levels together: every level works
+    on a minor of M, which counts them in M's `flats_formed`.
     """
     if not M.is_simple():
         raise UsageError("constructive search requires a simple matroid")
@@ -233,11 +233,17 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
             f"rank {M.rank()} below 4(k-1) = {4 * (k - 1)}; "
             "only the brute oracle handles that range")
     trace = ConstructionTrace()
-    flat, witness = _constructive(M, k, trace, budget, [0])
+    try:
+        flat, witness = _constructive(M, k, trace, M.flats_formed + budget)
+    except BudgetExceededError:
+        # a scan's own budget is what the levels before it left over
+        raise BudgetExceededError(f"flat budget {budget} exceeded") from None
     return flat, witness, trace
 
 
-def _constructive(M, k, trace, budget, counter):
+def _constructive(M, k, trace, limit):
+    """One level of the recursion; the flats formed by all the levels
+    may bring M's `flats_formed` up to `limit`."""
     if k == 2:
         line = find_two_point_line(M)
         _require(line is not None,
@@ -283,7 +289,7 @@ def _constructive(M, k, trace, budget, counter):
     N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
     _require(N2s.rank() == t, "contracted restriction has wrong rank", trace)
-    sub_flat, sub_witness = _constructive(N2s, k - 1, trace, budget, counter)
+    sub_flat, sub_witness = _constructive(N2s, k - 1, trace, limit)
 
     # lift through the parallel-class quotient back to the contraction
     p_reps = set(sub_witness.point.elements)
@@ -323,7 +329,7 @@ def _constructive(M, k, trace, budget, counter):
     if w == y:
         x, y = y, x  # so that {x,z} is the two-point line
 
-    f_prime = _choose_f_prime(N, K, x, y, k, budget, counter)
+    f_prime = _choose_f_prime(N, K, x, y, k, limit)
     _require(f_prime is not None,
              "no rank-(k-1) flat in K containing x but not y", trace)
 
@@ -341,14 +347,12 @@ def _constructive(M, k, trace, budget, counter):
     return out, witness
 
 
-def _choose_f_prime(N, K, x, y, k, budget, counter):
+def _choose_f_prime(N, K, x, y, k, limit):
     """The canonically least rank-(k-1) flat inside the rank-k flat K
     that contains x but not y, found by scanning K's (small) slice."""
-    NK = N.restrict(K.elements)
-    for fl in NK.flats_of_rank(k - 1, budget=budget, counter=counter):
-        if x in fl.elements and y not in fl.elements:
-            return fl
-    return None
+    got = _scan_slice(N.restrict(K.elements), k - 1, limit - N.flats_formed,
+                      lambda fl: x in fl and y not in fl)
+    return got[0] if got else None
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,6 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
         raise UsageError("conjectures are stated for k >= 2")
     need = CONJECTURE_RANK[conjecture](k)
     total = SearchStats()
-    t0 = time.perf_counter()
     base_seed = None
     conductor = None
     for seed, M in instances:
@@ -430,33 +433,22 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
             raise UsageError(
                 f"generator produced rank-{M.rank()} instance; conjecture "
                 f"{conjecture} at k={k} needs simple rank {need}")
-        counter = [0]
-        before = M.rank_calls
+        rank_calls, flats = M.rank_calls, M.flats_formed
         try:
             if conjecture == 1:
-                got = find_ordinary_flat_brute(M, k, budget=budget,
-                                               counter=counter)
-                witness = got[1] if got else None
+                got = find_ordinary_flat_brute(M, k, budget=budget)
             else:
-                witness = find_elementary_flat_brute(M, k, budget=budget,
-                                                     counter=counter)
+                got = find_elementary_flat_brute(M, k, budget=budget)
+            stop = None if got else ("counterexample", "exhausted")
         except BudgetExceededError:
-            total.rank_calls += M.rank_calls - before
-            total.flats_enumerated += counter[0]
-            total.ms = (time.perf_counter() - t0) * 1000
+            stop = ("verify", "budget exceeded")
+        total.rank_calls += M.rank_calls - rank_calls
+        total.flats_enumerated += M.flats_formed - flats
+        if stop:
+            mode, outcome = stop
             return SearchReport(
-                mode="verify", seed=seed, conductor=M.conductor,
-                rank=need, k=k, outcome="budget exceeded", stats=total,
-                instance=M.to_representation())
-        total.rank_calls += M.rank_calls - before
-        total.flats_enumerated += counter[0]
-        if witness is None:
-            total.ms = (time.perf_counter() - t0) * 1000
-            return SearchReport(
-                mode="counterexample", seed=seed, conductor=M.conductor,
-                rank=need, k=k, outcome="exhausted", stats=total,
-                instance=M.to_representation())
-    total.ms = (time.perf_counter() - t0) * 1000
+                mode=mode, seed=seed, conductor=M.conductor, rank=need, k=k,
+                outcome=outcome, stats=total, instance=M.to_representation())
     return SearchReport(
         mode="verify", seed=base_seed if base_seed is not None else 0,
         conductor=conductor if conductor is not None else 1,

@@ -163,6 +163,33 @@ def test_search_budget_exit_6(capsys, monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == [path]
     assert load_matrix(tmp_path / path) == M.to_representation()
     assert f"dumped budget-exceeded instance to {path}" in err
+    code, out, _ = run(capsys, "search", "--conjecture", "1", "--k", "3",
+                       "--trials", "2", "--seed", "3", "--budget", "2")
+    assert code == 6
+    assert out.startswith("conjecture 1, k=3, rank 5: verify / budget "
+                          "exceeded (3 flats, ")
+    assert "closure" not in out
+
+
+def test_search_counterexample_exit_5(capsys, monkeypatch, tmp_path):
+    """An exhausted slice is a counterexample: exit 5, the instance
+    dumped, and --json stdout one document with the notice on stderr."""
+    from flatkit import search
+    from flatkit.matroid import load_matrix
+
+    monkeypatch.setattr(search, "find_ordinary_flat_brute",
+                        lambda *args, **kwargs: None)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "search", "--conjecture", "1", "--k", "2",
+                         "--trials", "1", "--json")
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["mode"] == "counterexample" and doc["outcome"] == "exhausted"
+    s, M = next(search.conjecture_instances(1, 2, 1, 0))
+    path = f"counterexample-c1-k2-seed{s}.mat"
+    assert doc["seed"] == s and os.listdir(tmp_path) == [path]
+    assert load_matrix(tmp_path / path) == M.to_representation()
+    assert f"dumped counterexample to {path}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,7 +202,7 @@ def test_constructive_branch_budget_exit_6(capsys, argv):
     # forms more than one flat
     code, out, err = run(capsys, *argv, "--budget", "1")
     assert code == 6 and out == ""
-    assert err.startswith("budget exceeded: ")
+    assert err.startswith("budget exceeded: flat budget ")
 
 
 def test_search_k1_rejected(capsys):
@@ -233,7 +260,9 @@ def test_internal_inconsistency_exit_4(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "verify", "--suite", "kelly", "--trials", "1")
     assert code == 4
-    assert "planted failure" in err and err.count("\n") == 1
+    assert err.splitlines() == [
+        "dumped failing instance to failure-kelly-k2-seed0.mat",
+        "internal inconsistency: planted failure"]
     assert set(start.glob("failure-*")) == litter
 
 
@@ -261,7 +290,10 @@ def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
     assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
     assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
         trace.to_json_dict()
-    assert f"dumped failing instance to {stem}.mat" in out
+    # the failed check ends the run before the document; notices on stderr
+    assert out == ""
+    assert f"dumped failing instance to {stem}.mat" in err
+    assert f"dumped construction trace to {stem}.trace.json" in err
 
 
 def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
@@ -276,6 +308,35 @@ def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
                      "--seed", "3", "--conductor", "3")
     assert code == 4
     assert os.listdir(tmp_path) == ["failure-kelly-k2-seed3000009.mat"]
+
+
+def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
+    """A main-theorem trial reports the flats formed and the echelon
+    bases built in the minors of its recursion, beyond those of the
+    trial matroid itself."""
+    from flatkit.matroid import Matroid
+
+    built, own = [], []
+    basis, trial = Matroid._basis, cli._verify_trial
+
+    def counting_basis(self, labels):
+        built.append(self)
+        return basis(self, labels)
+
+    def counting_trial(suite, M, k):
+        start = len(built)
+        got = trial(suite, M, k)
+        own.append(sum(m is M for m in built[start:]))
+        return got
+
+    monkeypatch.setattr(Matroid, "_basis", counting_basis)
+    monkeypatch.setattr(cli, "_verify_trial", counting_trial)
+    code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                       "3", "--trials", "1", "--seed", "0", "--json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["stats"]["flats_enumerated"] > 0
+    assert report["stats"]["rank_calls"] > own[0] > 0
 
 
 @pytest.mark.parametrize("planted", ["not a flat", "whole ground set"])
@@ -294,13 +355,14 @@ def test_verify_main_theorem_recheck_failure_exit_4(
     monkeypatch.setattr(cli, "find_ordinary_flat_constructive",
                         planted_witness)
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
-                       "3", "--trials", "1", "--seed", "0", "--json")
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                         "3", "--trials", "1", "--seed", "0", "--json")
     assert code == 4
-    doc = json.loads(out.splitlines()[0])
+    doc = json.loads(out)  # the dump notice is on stderr
     assert [r["outcome"] for r in doc["reports"]] == ["exhausted"]
     stem = "failure-main-theorem-k3-seed0"
     assert os.listdir(tmp_path) == [stem + ".mat"]
+    assert f"dumped failing instance to {stem}.mat" in err
     _, M = next(trial_instances(8, 1, 0, 1, (12, 14)))
     assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
 
@@ -486,13 +548,16 @@ def matrix_texts(draw):
 
 
 def exit_code(argv):
-    """main(argv) with its output discarded; argparse's exit counts."""
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    """(exit code, stdout) of main(argv), stderr discarded; argparse's
+    exit counts."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -507,7 +572,9 @@ def test_cli_fuzz_documented_exit_codes(argv, text):
         os.chdir(tmp)  # the CLI writes exports and failure dumps here
         try:
             Path(MATRIX_FILE).write_text(text)
-            code = exit_code(argv)
+            code, out = exit_code(argv)
         finally:
             os.chdir(cwd)
     assert code in range(7), (argv, code)
+    if "--json" in argv and "--help" not in argv and out:
+        json.loads(out)  # one document, nothing before or after it

@@ -229,12 +229,13 @@ def brute_flats(M, k):
 
 def assert_flat_walk(M):
     """flats_of_rank(k) is the oracle's list for every k, without
-    duplicates; its counter reaches the number of flats of ranks 1..k,
-    and a budget of exactly that number is the least that completes."""
+    duplicates; it adds the number of flats of ranks 1..k to
+    `flats_formed`, and a budget of exactly that number is the least that
+    completes."""
     total = 0
     for k in range(M.rank() + 1):
-        counter = [0]
-        flats = M.flats_of_rank(k, counter=counter)
+        before = M.flats_formed
+        flats = M.flats_of_rank(k)
         elements = [fl.elements for fl in flats]
         assert len(set(elements)) == len(elements)
         assert elements == brute_flats(M, k)
@@ -242,7 +243,7 @@ def assert_flat_walk(M):
         if k == 0:
             continue
         total += len(flats)
-        assert counter[0] == total
+        assert M.flats_formed - before == total
         with pytest.raises(BudgetExceededError):
             M.flats_of_rank(k, budget=total - 1)
         assert len(M.flats_of_rank(k, budget=total)) == len(flats)

@@ -10,10 +10,15 @@ from flatkit.catalog import (
     ag23_power,
     motzkin,
     random_instance,
+    trial_instances,
     uniform,
     uniform_power,
 )
-from flatkit.errors import InternalInconsistencyError, UsageError
+from flatkit.errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    UsageError,
+)
 from flatkit.matroid import Flat, Matroid, direct_sum, prefix_labels, representation_from_rows
 from flatkit.search import (
     conjecture_instances,
@@ -182,6 +187,53 @@ def test_constructive_strategies_agree_on_success():
     M = Matroid(rep)
     flat, w, _ = find_ordinary_flat_constructive(M, 3)
     assert is_ordinary(M, flat) is not None
+
+
+def constructive_instances():
+    """(matroid builder, k): a rank-8 trial instance at k=3, whose one F'
+    scan runs at the top level, and the rank-12 line sum at k=4, which
+    scans for F' at two levels."""
+    _, M = next(trial_instances(8, 1, 0, 1, (12, 14)))
+    yield M.rebuilt, 3
+    yield lambda: Matroid(uniform_power(2, 3, 6)), 4
+
+
+@pytest.mark.parametrize("build, k", list(constructive_instances()),
+                         ids=["trial-rank8-k3", "line-sum-k4"])
+def test_constructive_budget_spans_the_recursion(build, k):
+    """The flats formed in minors at every level count against one
+    budget: the `flats_formed` delta of a full run is the least budget
+    that completes, on a fresh matroid or one that has already worked."""
+    M = build()
+    flat, _, _ = find_ordinary_flat_constructive(M, k)
+    formed = M.flats_formed
+    assert formed > 0 and M.rank_calls > 0
+    assert find_ordinary_flat_constructive(build(), k, budget=formed)[0] == flat
+    with pytest.raises(BudgetExceededError,
+                       match=f"^flat budget {formed - 1} exceeded$"):
+        find_ordinary_flat_constructive(build(), k, budget=formed - 1)
+    # the budget is counted from the call, not from the matroid's birth
+    assert find_ordinary_flat_constructive(M, k, budget=formed)[0] == flat
+    assert M.flats_formed == 2 * formed
+    with pytest.raises(BudgetExceededError):
+        find_ordinary_flat_constructive(M, k, budget=formed - 1)
+
+
+def test_minors_share_the_work_meter():
+    """A minor counts on its parent's meter; a rebuilt matroid starts a
+    fresh one."""
+    M = Matroid(ag23_power(2))
+    rank_calls, flats = M.rank_calls, M.flats_formed
+    N = M.restrict(M.ground[:6])
+    lines = N.flats_of_rank(2)
+    assert M.flats_formed - flats == N.flats_formed - flats >= len(lines)
+    C = M.contract(M.closure(M.ground[:1]))
+    C.rank()
+    assert M.rank_calls == C.rank_calls > rank_calls
+    R = M.rebuilt()
+    assert (R.rank_calls, R.flats_formed) == (0, 0)
+    R.rank()
+    assert M.rank_calls == C.rank_calls
 
 
 @pytest.mark.parametrize("k,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
