@@ -8,11 +8,10 @@ with the brute-force oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, euler_phi
+from .cyclotomic import euler_phi
 from .errors import GenerationError, UnsatisfiableShapeError, UsageError
 from .matroid import (
     Matroid,
@@ -20,36 +19,29 @@ from .matroid import (
     _integer_column,
     direct_sum,
     prefix_labels,
-    representation_from_rows,
 )
 
 
 def ag23() -> Representation:
     """AG(2,3) as the Hesse configuration over Q(zeta_3): the nine
-    inflection points (0,1,-w^j), (1,0,-w^j), (1,-w^j,0), j in {0,1,2}."""
-    n = 3
-    w = CyclotomicNumber.zeta(n)
-    zero = CyclotomicNumber.from_rational(0, n)
-    one = CyclotomicNumber.from_rational(1, n)
-    powers = [one, w, w * w]
-    cols = []
-    for j in range(3):
-        cols.append((zero, one, -powers[j]))
-    for j in range(3):
-        cols.append((one, zero, -powers[j]))
-    for j in range(3):
-        cols.append((one, -powers[j], zero))
-    rows = tuple(tuple(col[i] for col in cols) for i in range(3))
+    inflection points (0,1,-w^j), (1,0,-w^j), (1,-w^j,0), j in {0,1,2}.
+    In the basis 1, w: -1, -w and -w^2 = 1 + w are (-1,0), (0,-1), (1,1)."""
+    zero, one = (0, 0), (1, 0)
+    minus_powers = ((-1, 0), (0, -1), (1, 1))
+    points = ([zero + one + p for p in minus_powers]
+              + [one + zero + p for p in minus_powers]
+              + [one + p + zero for p in minus_powers])
     labels = tuple(f"h{j + 1}" for j in range(9))
-    return Representation(n, rows, labels)
+    return Representation(3, 3, labels, tuple((1, v) for v in points))
 
 
 def uniform(r: int, n: int) -> Representation:
     """U_{r,n} as an r x n Vandermonde matrix over Q with nodes 1..n."""
     if not (0 <= r <= n):
         raise UsageError(f"uniform requires 0 <= r <= n, got r={r}, n={n}")
-    rows = [[Fraction(node) ** p for node in range(1, n + 1)] for p in range(r)]
-    return representation_from_rows(rows, 1)
+    columns = tuple((1, tuple(node ** p for p in range(r)))
+                    for node in range(1, n + 1))
+    return Representation(1, r, tuple(f"e{j + 1}" for j in range(n)), columns)
 
 
 def motzkin() -> Representation:
@@ -92,10 +84,9 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
                     bound: int = 10, max_tries: int = 1000) -> Representation:
     """Seeded d x m representation, rejection-sampled until simple and of
     full rank d; basis coordinates are rationals randint(-bound, bound) /
-    randint(1, bound).  Draws are tested as integer columns, and only the
-    accepted one is built as a matrix.  A shape no simple matroid has (a
-    negative rank, rank 0 with an element, rank 1 with two) is refused
-    before any draw."""
+    randint(1, bound), drawn and tested as integer columns.  A shape no
+    simple matroid has (a negative rank, rank 0 with an element, rank 1
+    with two) is refused before any draw."""
     return _random_matroid(d, m, conductor, seed, bound,
                            max_tries).to_representation()
 
@@ -147,7 +138,7 @@ def trial_instances(rank: int, trials: int, seed: int, conductor: int,
     matroid of random_instance(rank, m, conductor, seed=s), with
     m = lo + Random(s).randint(0, hi - lo) for cols = (lo, hi); lo = hi
     fixes the column count.  The matroid is the one the generator
-    accepted; its matrix is built only when asked for."""
+    accepted."""
     lo, hi = cols
     for i in range(trials):
         s = seed * 1000003 + i

@@ -201,9 +201,9 @@ def _verify_trial(suite, M, k):
         return w, w is not None
     if suite == "main-theorem":
         flat, witness, _ = find_ordinary_flat_constructive(M, k)
-        # independent recheck on a matroid rebuilt from the integer
-        # columns; a witness that is not a flat there fails the trial
-        fresh = M.rebuilt()
+        # independent recheck on a matroid built afresh from the
+        # matrix; a witness that is not a flat there fails the trial
+        fresh = Matroid(M.to_representation())
         closed = fresh.closure(flat.elements)
         ok = (set(closed.elements) == set(flat.elements)
               and is_ordinary(fresh, closed) is not None)

@@ -5,11 +5,11 @@ Elements are stored as coordinate vectors in the power basis
 Q is conductor 1, the Eisenstein rationals conductor 3, the Gaussian
 rationals conductor 4.  All values are immutable and all operations pure.
 
-`CyclotomicNumber` is the value type of matrix entries: it serves
-parsing, printing and catalog construction, and its field operations
-are the reference the tests check the integer rank kernel of `matroid`
-against.  Rank questions themselves never reach this module's
-arithmetic; they run on integer coordinates in Z[zeta_n].
+`CyclotomicNumber` is the value `parse_scalar` returns, and its field
+operations are the reference the tests check the integer rank kernel
+of `matroid` against.  A matrix is held as integer columns
+(`matroid.Representation`), so no matrix, rank question or catalog
+construction reaches this module's arithmetic.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ class CyclotomicNumber:
         return any(c != 0 for c in self.coeffs)
 
     def __repr__(self):
-        return f"CyclotomicNumber({self.conductor}, {format_scalar(self)!r})"
+        return f"CyclotomicNumber({self.conductor}, {str(self)!r})"
 
     def __str__(self):
-        return format_scalar(self)
+        return format_scalar(self.coeffs)
 
 
 def zero(conductor: int) -> CyclotomicNumber:
@@ -166,10 +166,11 @@ def one(conductor: int) -> CyclotomicNumber:
 # ---------------------------------------------------------------------------
 # text syntax: polynomial in `z` with rational coefficients, e.g. 1/2+3z-z^2
 
-def format_scalar(x: CyclotomicNumber) -> str:
-    """Canonical whitespace-free printing, terms in increasing degree."""
+def format_scalar(coeffs) -> str:
+    """Canonical whitespace-free printing of power-basis coordinates,
+    terms in increasing degree."""
     parts = []
-    for deg, c in enumerate(x.coeffs):
+    for deg, c in enumerate(coeffs):
         if c == 0:
             continue
         if deg == 0:

@@ -1,8 +1,9 @@
 """Matroids from exact representation matrices.
 
-A matroid is a labeled matrix over Q(zeta_n), held as integer columns:
-each column is scaled once to integer power-basis coordinates in
-Z[zeta_n] (`_integer_column`), and its matrix is built only on demand.
+A matrix over Q(zeta_n) has one format from parse to dump, the integer
+columns of a `Representation`: each column is scaled once to integer
+power-basis coordinates in Z[zeta_n] (`_integer_column`), and a
+`Matroid` computes on those columns as they are.
 A column, like every vector of the rank kernel, is one flat sequence of
 d*phi(n) Python ints, entry-major: entry i is the slice
 [i*phi, (i+1)*phi).  A single element of Z[zeta_n] is a vector of one
@@ -25,7 +26,7 @@ classes) are read off a projective normal form of each column.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -33,9 +34,9 @@ from math import gcd, lcm
 from .cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
+    euler_phi,
     format_scalar,
     parse_scalar,
-    zero,
 )
 from .errors import (
     BudgetExceededError,
@@ -58,54 +59,61 @@ MAX_FILE_CONDUCTOR = 24
 
 @dataclass(frozen=True)
 class Representation:
-    """A d x m matrix over Q(zeta_n) with distinct column labels."""
+    """A d x m matrix over Q(zeta_n) with distinct column labels, held as
+    integer columns: columns[j] is (den, v) for the column labelled
+    labels[j], v its d*phi(n) power-basis coordinates times den as ints,
+    entry-major, and den >= 1 sharing no factor with v, as
+    `_integer_column` makes it.  So equal matrices are equal records."""
 
     conductor: int
-    entries: tuple[tuple[CyclotomicNumber, ...], ...]  # row-major, d rows
+    rows: int
     labels: tuple[str, ...]
+    columns: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for row in self.entries:
-            if len(row) != len(self.labels):
-                raise UsageError("row length does not match label count")
-            for x in row:
-                if x.conductor != self.conductor:
-                    raise ConductorMismatchError(
-                        "entry conductor differs from declared conductor")
+        if len(self.columns) != len(self.labels):
+            raise UsageError("column count does not match label count")
         if len(set(self.labels)) != len(self.labels):
             raise UsageError("labels must be unique")
+        size = self.rows * euler_phi(self.conductor)
+        for den, v in self.columns:
+            if len(v) != size:
+                raise UsageError("column length does not match row count")
+            if den < 1 or gcd(den, *v) != 1:
+                raise UsageError("column is not in lowest terms")
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
 
-    @property
-    def columns(self) -> int:
-        return len(self.labels)
-
-    def column(self, j: int) -> tuple[CyclotomicNumber, ...]:
-        return tuple(row[j] for row in self.entries)
+def _coordinates(x, conductor: int, phi: int):
+    """The (numerator, denominator) pairs of the coordinates of a scalar."""
+    if isinstance(x, CyclotomicNumber):
+        if x.conductor != conductor:
+            raise ConductorMismatchError(
+                "entry conductor differs from declared conductor")
+        coeffs = x.coeffs
+    else:
+        coeffs = (Fraction(x),) + (0,) * (phi - 1)
+    return [(c.numerator, c.denominator) for c in coeffs]
 
 
 def representation_from_rows(rows, conductor: int, labels=None) -> Representation:
-    """Build a Representation from rows of ints/Fractions/CyclotomicNumbers."""
-    ent = []
-    for row in rows:
-        out = []
-        for x in row:
-            if not isinstance(x, CyclotomicNumber):
-                x = CyclotomicNumber.from_rational(Fraction(x), conductor)
-            out.append(x)
-        ent.append(tuple(out))
-    m = len(ent[0]) if ent else 0
+    """Build a Representation from rows of ints, Fractions or
+    CyclotomicNumbers of the given conductor; labels default to e1, e2..."""
+    rows = [list(row) for row in rows]
     if labels is None:
-        labels = tuple(f"e{i + 1}" for i in range(m))
-    return Representation(conductor, tuple(ent), tuple(labels))
+        labels = tuple(f"e{i + 1}" for i in range(len(rows[0]) if rows else 0))
+    labels = tuple(labels)
+    if any(len(row) != len(labels) for row in rows):
+        raise UsageError("row length does not match label count")
+    phi = euler_phi(conductor)
+    columns = tuple(
+        _integer_column([c for row in rows
+                         for c in _coordinates(row[j], conductor, phi)])
+        for j in range(len(labels)))
+    return Representation(conductor, len(rows), labels, columns)
 
 
 def prefix_labels(rep: Representation, prefix: str) -> Representation:
-    return Representation(rep.conductor, rep.entries,
-                          tuple(prefix + lbl for lbl in rep.labels))
+    return replace(rep, labels=tuple(prefix + lbl for lbl in rep.labels))
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
@@ -116,13 +124,12 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
             f"direct sum of conductors {a.conductor} and {b.conductor}")
     if set(a.labels) & set(b.labels):
         raise UsageError("direct summands share labels; prefix them first")
-    z = zero(a.conductor)
-    rows = []
-    for row in a.entries:
-        rows.append(row + (z,) * b.columns)
-    for row in b.entries:
-        rows.append((z,) * a.columns + row)
-    return Representation(a.conductor, tuple(rows), a.labels + b.labels)
+    phi = euler_phi(a.conductor)
+    below, above = (0,) * (b.rows * phi), (0,) * (a.rows * phi)
+    columns = (tuple((den, v + below) for den, v in a.columns)
+               + tuple((den, above + v) for den, v in b.columns))
+    return Representation(a.conductor, a.rows + b.rows, a.labels + b.labels,
+                          columns)
 
 
 @dataclass(frozen=True)
@@ -348,11 +355,7 @@ class Matroid:
     """
 
     def __init__(self, rep: Representation):
-        columns = [[(c.numerator, c.denominator)
-                    for x in rep.column(j) for c in x.coeffs]
-                   for j in range(rep.columns)]
-        self._setup(rep.conductor, rep.labels, rep.rows,
-                    [_integer_column(col) for col in columns])
+        self._setup(rep.conductor, rep.labels, rep.rows, rep.columns)
 
     @classmethod
     def _from_columns(cls, conductor, labels, rows, columns, points=None,
@@ -588,42 +591,34 @@ class Matroid:
 
     # -- materialization ---------------------------------------------------
 
-    def rebuilt(self) -> "Matroid":
-        """The same matroid built afresh from its integer columns: its
-        point keys, full rank and echelon bases are recomputed on a fresh
-        work meter, and nothing derived on self carries over."""
-        return Matroid._from_columns(
-            self.conductor, self.ground, self._rows,
-            [(self._denominators[e], self._columns[e]) for e in self.ground])
-
     def to_representation(self) -> Representation:
-        """The matrix, built on demand from the integer columns: the one
-        the matroid was built from, the parent's columns for a restriction,
-        the projected integer columns for a contraction."""
-        n, phi = self.conductor, self._ring.phi
-        columns = []
-        for e, den in self._denominators.items():
-            col = [Fraction(c, den) for c in self._columns[e]]
-            columns.append([CyclotomicNumber(n, col[i:i + phi])
-                            for i in range(0, len(col), phi)])
-        entries = tuple(tuple(col[i] for col in columns)
-                        for i in range(self._rows))
-        return Representation(n, entries, self.ground)
+        """The matrix of the matroid as its own integer columns: the ones
+        it was built from, the parent's for a restriction, the projected
+        columns for a contraction."""
+        return Representation(
+            self.conductor, self._rows, self.ground,
+            tuple((self._denominators[e], self._columns[e])
+                  for e in self.ground))
 
 
 # ---------------------------------------------------------------------------
 # matrix file format
 
 def write_matrix(rep: Representation) -> str:
+    phi = euler_phi(rep.conductor)
+    cells = [[format_scalar([Fraction(c, den) for c in v[i:i + phi]])
+              for i in range(0, len(v), phi)] for den, v in rep.columns]
     lines = [f"conductor {rep.conductor}",
-             f"size {rep.rows} {rep.columns}",
+             f"size {rep.rows} {len(rep.labels)}",
              "labels " + " ".join(rep.labels)]
-    for row in rep.entries:
-        lines.append(" ".join(format_scalar(x) for x in row))
+    for i in range(rep.rows):
+        lines.append(" ".join(col[i] for col in cells))
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> Representation:
+    """The matrix of a matrix file.  The sizes are checked against the
+    rows, or the labels of a file with no rows, before anything is built."""
     raw = [ln.strip() for ln in text.splitlines()]
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
     if len(lines) < 2:
@@ -656,12 +651,14 @@ def parse_matrix(text: str) -> Representation:
             raise MatrixParseError(
                 f"expected {m} labels, got {len(labels)}", line=lineno)
         rest = rest[1:]
-    if labels is None:
-        labels = tuple(f"e{i + 1}" for i in range(m))
     if len(rest) != d:
         raise MatrixParseError(
             f"expected {d} matrix rows, got {len(rest)}")
-    entries = []
+    if labels is None and m and not rest:
+        # nothing else in the file bounds m
+        raise MatrixParseError("a file with no matrix rows must list its "
+                               "labels", line=lineno)
+    rows = []
     for lineno, ln in rest:
         toks = ln.split()
         if len(toks) != m:
@@ -674,8 +671,8 @@ def parse_matrix(text: str) -> Representation:
             except Exception as exc:
                 raise MatrixParseError(
                     f"bad scalar {tok!r}: {exc}", line=lineno, column=col + 1)
-        entries.append(tuple(row))
-    return Representation(conductor, tuple(entries), labels)
+        rows.append(row)
+    return representation_from_rows(rows, conductor, labels)
 
 
 def load_matrix(path) -> Representation:

@@ -20,7 +20,7 @@ from flatkit.catalog import (
 )
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import GenerationError, UsageError
-from flatkit.matroid import Matroid, Representation
+from flatkit.matroid import Matroid, Representation, representation_from_rows
 from flatkit.search import find_elementary_flat, find_two_point_line, is_ordinary
 
 
@@ -51,6 +51,13 @@ def test_uniform_is_uniform():
             assert M.rank(sub) == r
 
 
+def test_uniform_of_rank_zero_is_all_loops():
+    rep = uniform(0, 3)
+    assert (rep.rows, rep.labels) == (0, ("e1", "e2", "e3"))
+    M = Matroid(rep)
+    assert M.rank() == 0 and M.loops() == M.ground
+
+
 def test_uniform_bad_params():
     with pytest.raises(UsageError):
         uniform(3, 2)
@@ -65,8 +72,9 @@ def test_motzkin_certificates():
 
 
 def test_ag23_power():
-    assert ag23_power(1) == ag23().__class__(
-        ag23().conductor, ag23().entries, ag23().labels)
+    rep = ag23()
+    assert ag23_power(1) == Representation(
+        rep.conductor, rep.rows, rep.labels, rep.columns)
     M = Matroid(ag23_power(2))
     assert M.rank() == 6 and len(M.ground) == 18
     assert find_elementary_flat(M, 3) is None
@@ -98,7 +106,7 @@ def fraction_instance(d, m, conductor, seed, bound=10):
                 Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
                 for _ in range(euler_phi(conductor))])
             for _ in range(m)) for _ in range(d))
-        rep = Representation(conductor, rows, labels)
+        rep = representation_from_rows(rows, conductor, labels)
         M = Matroid(rep)
         if M.rank() == d and M.is_simple():
             return rep
@@ -207,7 +215,8 @@ def test_build_ref_builds_up_to_max_columns(ref, columns):
     assert catalog.MAX_CATALOG_COLUMNS == 64
     name, _, params = ref.partition(":")
     args = [int(p) for p in params.split(",")] if params else []
-    assert ENTRIES[name].columns(*args) == build_ref(ref).columns == columns
+    built = len(build_ref(ref).columns)
+    assert ENTRIES[name].columns(*args) == built == columns
 
 
 def test_entry_listing():

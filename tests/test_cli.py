@@ -240,6 +240,18 @@ def test_missing_input_file_exit_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_huge_declared_column_count_exit_2(capsys, tmp_path, rows):
+    """A three-line file declaring 10^11 columns is a parse error, not a
+    memory error: nothing of the declared size is built."""
+    path = tmp_path / "huge.mat"
+    path.write_text(f"conductor 1\nsize {rows} {10**11}\n" + "1\n" * rows)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_binary_input_file_exit_2(capsys, tmp_path):
     path = tmp_path / "noise.mat"
     path.write_bytes(b"\xff\xfe\x00conductor")

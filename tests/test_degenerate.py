@@ -33,15 +33,19 @@ from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
     Flat,
     Matroid,
-    Representation,
     _ring,
+    parse_matrix,
+    representation_from_rows,
+    write_matrix,
 )
 from flatkit.search import find_elementary_flat_brute, is_elementary
 
 
 @st.composite
 def degenerate(draw, conductors=(1, 3, 4)):
-    """(representation, planted facts) with the planted columns mixed in."""
+    """(representation, planted facts) with the planted columns mixed in;
+    facts["columns"] maps each label to its drawn CyclotomicNumber
+    column, in ground order."""
     n = draw(st.sampled_from(conductors))
     phi = euler_phi(n)
     d = draw(st.integers(1, 4))
@@ -72,9 +76,10 @@ def degenerate(draw, conductors=(1, 3, 4)):
     labels = [None] * len(cols)
     for pos, j in enumerate(order):
         labels[j] = f"e{pos + 1}"
-    rows = tuple(tuple(cols[j][i] for j in order) for i in range(d))
-    rep = Representation(n, rows, tuple(labels[j] for j in order))
+    rows = [[cols[j][i] for j in order] for i in range(d)]
+    rep = representation_from_rows(rows, n, [labels[j] for j in order])
     facts = {
+        "columns": {labels[j]: cols[j] for j in order},
         "loops": [labels[j] for j in loops],
         "parallel": [(labels[s], labels[t]) for s, t in parallel],
         "spanned": [((labels[i], labels[j]), labels[t])
@@ -198,22 +203,24 @@ def test_minors_are_the_matroids_of_their_matrices(case, data):
 @pytest.mark.parametrize("conductor", [1, 3, 4])
 @pytest.mark.parametrize("rank, cols", [(4, (8, 10)), (8, (12, 14))])
 def test_rebuilt_matroid_shares_no_derived_state(conductor, rank, cols):
-    """`rebuilt` is the matroid of the matrix, starts with no echelon
-    built, and keys its points afresh instead of copying them."""
+    """`Matroid(A.to_representation())` is the matroid of A's matrix
+    (here read back from its file text), starts with no echelon built,
+    and keys its points afresh instead of copying them."""
     rng = random.Random(conductor * 100 + rank)
     for _, M in trial_instances(rank, 3, 11, conductor, cols):
         F = M.closure(M.ground[:rank - 2])
         for A in (M, M.restrict(M.ground[1:]), M.contract(F)):
-            B = A.rebuilt()
+            B = Matroid(A.to_representation())
             assert B.rank_calls == 0
             subsets = [rng.sample(A.ground, rng.randint(0, len(A.ground)))
                        for _ in range(4)]
-            fresh = Matroid(A.to_representation())
+            fresh = Matroid(parse_matrix(write_matrix(A.to_representation())))
             assert_same_matroid(B, fresh, subsets)
             e, f = A.ground[:2]
             A._points[f] = A._points[e]  # a wrong key: e and f merged
             assert A.parallel_classes() != fresh.parallel_classes()
-            assert A.rebuilt().parallel_classes() == fresh.parallel_classes()
+            assert (Matroid(A.to_representation()).parallel_classes()
+                    == fresh.parallel_classes())
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +384,13 @@ def field_point_key(column):
 
 
 class FieldMatroid:
-    """Rank, closure, points and contraction by field elimination."""
+    """Rank, closure, points and contraction by field elimination, on
+    columns of CyclotomicNumbers given as a dict label -> column in
+    ground order."""
 
-    def __init__(self, rep):
-        self.rep = rep
-        self.ground = rep.labels
-        self.columns = {e: rep.column(j) for j, e in enumerate(rep.labels)}
+    def __init__(self, columns):
+        self.ground = tuple(columns)
+        self.columns = columns
 
     def basis(self, labels):
         return field_echelon([self.columns[e] for e in self.ground
@@ -407,14 +415,17 @@ class FieldMatroid:
                 classes.setdefault(key, []).append(e)
         return [tuple(cls) for cls in classes.values()]
 
+    def restrict(self, labels):
+        return FieldMatroid({e: col for e, col in self.columns.items()
+                             if e in labels})
+
     def contract(self, flat):
         basis = self.basis(flat)
         pivots = {pivot for pivot, _ in basis}
-        ground = tuple(e for e in self.ground if e not in flat)
-        reduced = [field_reduce(basis, self.columns[e]) for e in ground]
-        rows = tuple(tuple(v[i] for v in reduced)
-                     for i in range(self.rep.rows) if i not in pivots)
-        return FieldMatroid(Representation(self.rep.conductor, rows, ground))
+        return FieldMatroid({
+            e: tuple(x for i, x in enumerate(field_reduce(basis, col))
+                     if i not in pivots)
+            for e, col in self.columns.items() if e not in flat})
 
 
 def assert_kernels_agree(M, R, subsets):
@@ -429,8 +440,7 @@ def assert_kernels_agree(M, R, subsets):
 def assert_contractions_agree(M, R, flat_seed, subsets):
     """Contract the closure of `flat_seed` in the loopless part of both."""
     keep = [e for e in M.ground if e not in M.loops()]
-    M = M.restrict(keep)
-    R = FieldMatroid(M.to_representation())
+    M, R = M.restrict(keep), R.restrict(keep)
     F = M.closure([e for e in flat_seed if e in keep])
     Q, RQ = M.contract(F), R.contract(F.elements)
     assert Q.ground == RQ.ground
@@ -462,8 +472,9 @@ def test_adj_times_element_is_its_norm(n):
 @settings(max_examples=60, deadline=None)
 @given(degenerate(KERNEL_CONDUCTORS), st.data())
 def test_integer_kernel_matches_field_kernel(case, data):
-    rep, _ = case
-    M, R = Matroid(rep), FieldMatroid(rep)
+    rep, facts = case
+    assert parse_matrix(write_matrix(rep)) == rep
+    M, R = Matroid(rep), FieldMatroid(facts["columns"])
     subsets = [list(M.ground)] + [subset(data, M.ground) for _ in range(6)]
     assert_kernels_agree(M, R, subsets)
     assert_contractions_agree(M, R, subset(data, M.ground), subsets)
@@ -488,9 +499,8 @@ def test_integer_kernel_dense_rank_8(n):
     cols.append(tuple(-(zeta * zeta * zeta * x) for x in cols[3]))
     cols.append(tuple(a * x - y for x, y in zip(cols[9], cols[8])))
     labels = tuple(f"e{j + 1}" for j in range(len(cols)))
-    rep = Representation(n, tuple(tuple(c[i] for c in cols)
-                                  for i in range(8)), labels)
-    M, R = Matroid(rep), FieldMatroid(rep)
+    rep = representation_from_rows(zip(*cols), n, labels)
+    M, R = Matroid(rep), FieldMatroid(dict(zip(labels, cols)))
     assert M.rank(labels) == 8
     subsets = [list(labels), ["e1", "e6", "e10"], ["e4", "e11"],
                ["e1", "e6", "e9"], list(labels[:7]), list(labels[2:10])]
@@ -521,9 +531,8 @@ def test_integer_kernel_dense_4x8_high_phi(n, bound):
     cols.append(tuple(zeta5 * x for x in cols[2]))
     cols.append(tuple(b * x - y for x, y in zip(cols[5], cols[3])))
     labels = tuple(f"e{j + 1}" for j in range(len(cols)))
-    rep = Representation(n, tuple(tuple(c[i] for c in cols)
-                                  for i in range(4)), labels)
-    M, R = Matroid(rep), FieldMatroid(rep)
+    rep = representation_from_rows(zip(*cols), n, labels)
+    M, R = Matroid(rep), FieldMatroid(dict(zip(labels, cols)))
     assert M.rank(labels) == 4
     assert ("e3", "e7") in M.parallel_classes()
     assert M.closure(["e1", "e2", "e4"]).elements == (

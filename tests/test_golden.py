@@ -2,7 +2,9 @@
 `stats` object removed, is pinned, so a change to the rank kernel, the
 flat enumeration or the search layer cannot alter any answer, flat or
 order unnoticed.  The `stats` counters measure work and may change when
-the work does; everything else is the stable CLI contract.
+the work does; everything else is the stable CLI contract.  The matrix
+text of catalog references, as `catalog --export` writes it, is pinned
+the same way.
 """
 
 import hashlib
@@ -10,7 +12,9 @@ import json
 
 import pytest
 
+from flatkit.catalog import build_ref
 from flatkit.cli import main
+from flatkit.matroid import write_matrix
 
 # command (run with --json) -> (exit code, digest)
 GOLDEN = {
@@ -70,3 +74,30 @@ def golden_digest(argv, capsys):
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_json_output_is_pinned(command, capsys):
     assert golden_digest(command.split(), capsys) == GOLDEN[command]
+
+
+# catalog reference -> sha256 of write_matrix(build_ref(ref))
+GOLDEN_EXPORTS = {
+    "ag23":
+        "6e97ea20b5cf0e7aca1ec42c3407c50715f43bc57fc731ab6f54e67439e3b739",
+    "motzkin":
+        "67c8b431fc925050b9c1aea6d7cbed619326e9c2b15600d655cfa15f22d81b96",
+    "uniform:3,5":
+        "4f92c5ca44f7325b00416140db3e22ab7b23945bff4e2788cc1d4efe4bf5f70d",
+    "ag23_power:2":
+        "82342102e6ea9d8ef194d833334de113330f978295272f2e541d181d331a4f6e",
+    "uniform_power:2,3,3":
+        "00d9d0e4ef53432e18d689b354ba82ba5cec3fa118f8957fc917230b156deb5b",
+    "random:4,9,1,0":
+        "c01fc3d0c392a19acbb758fa5e1cbdfa563112cba73a7086285a84c288d534fa",
+    "random:4,9,3,0":
+        "f77913c0fcd188cbaff7aacbcae1e5e34413590b77e5bac11085c410d4b1abf8",
+    "random:4,9,4,0":
+        "4196a792d11de8b725e7d5d8801bedf7e1c191beffcb73803c847201e6c21f66",
+}
+
+
+@pytest.mark.parametrize("ref", list(GOLDEN_EXPORTS))
+def test_export_text_is_pinned(ref):
+    text = write_matrix(build_ref(ref))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_EXPORTS[ref]

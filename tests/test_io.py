@@ -2,15 +2,33 @@
 
 import pytest
 
-from flatkit.catalog import ag23, motzkin, random_instance, uniform
+from flatkit.catalog import (
+    ag23,
+    ag23_power,
+    motzkin,
+    random_instance,
+    trial_instances,
+    uniform,
+    uniform_power,
+)
 from flatkit.errors import MatrixParseError
 from flatkit.matroid import MAX_FILE_CONDUCTOR, parse_matrix, write_matrix
+
+
+def trial_minors():
+    """A restriction and a contraction of a trial instance at each of the
+    conductors 1, 3 and 4."""
+    for conductor in (1, 3, 4):
+        _, M = next(trial_instances(4, 1, 5, conductor, (8, 8)))
+        yield M.restrict(M.ground[::2]).to_representation()
+        yield M.contract(M.closure(M.ground[:2])).to_representation()
 
 
 @pytest.mark.parametrize("rep", [
     ag23(), uniform(2, 3), motzkin(),
     random_instance(4, 8, 4, seed=11),
     random_instance(3, 6, 3, seed=2),
+    ag23_power(2), uniform_power(2, 3, 3), *trial_minors(),
 ])
 def test_roundtrip_identity(rep):
     text = write_matrix(rep)
@@ -27,6 +45,8 @@ def test_parse_default_labels():
 def test_parse_declared_labels():
     rep = parse_matrix("conductor 1\nsize 1 2\nlabels p q\n1 2\n")
     assert rep.labels == ("p", "q")
+    rowless = parse_matrix("conductor 1\nsize 0 2\nlabels a b\n")
+    assert (rowless.rows, rowless.labels) == (0, ("a", "b"))
 
 
 def test_parse_errors_carry_location():
@@ -60,3 +80,14 @@ def test_conductor_bound():
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(f"\nconductor {MAX_FILE_CONDUCTOR + 1}\nsize 1 2\n1 z\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_huge_declared_column_count_is_refused_before_any_label(rows):
+    """The size line alone does not bound the column count: a file with
+    a row is checked against that row's entries, and one with no rows
+    must list its labels."""
+    text = f"conductor 1\nsize {rows} {10**11}\n" + "1\n" * rows
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text)
+    assert exc.value.line == 2 + rows

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from flatkit.catalog import ag23, uniform
-from flatkit.cyclotomic import CyclotomicNumber
+from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import (
     BudgetExceededError,
     ConductorMismatchError,
@@ -47,9 +47,17 @@ def det(rows):
     return total
 
 
+def field_column(rep, label):
+    """The column of `label` as CyclotomicNumber entries."""
+    den, v = rep.columns[rep.labels.index(label)]
+    phi = euler_phi(rep.conductor)
+    return [CyclotomicNumber(rep.conductor,
+                             [Fraction(c, den) for c in v[i:i + phi]])
+            for i in range(0, len(v), phi)]
+
+
 def oracle_rank(rep, labels):
-    idx = [rep.labels.index(lbl) for lbl in labels]
-    cols = [rep.column(j) for j in idx]
+    cols = [field_column(rep, lbl) for lbl in labels]
     best = 0
     for size in range(1, min(len(cols), rep.rows) + 1):
         hit = False
@@ -263,8 +271,7 @@ def test_direct_sum_conductor_mismatch():
 def test_direct_sum_empty_identity():
     a = uniform(2, 3)
     empty = representation_from_rows([], 1, labels=())
-    got = direct_sum(a, empty)
-    assert got.entries == a.entries and got.labels == a.labels
+    assert direct_sum(a, empty) == a
 
 
 def test_summand_ground_sets_are_flats_and_ranks_add():
@@ -295,3 +302,34 @@ def test_empty_ground_set_is_legal():
     M = Matroid(rep)
     assert M.rank() == 0
     assert M.flats_of_rank(0) == [Flat((), 0)]
+
+
+# -- the representation record ----------------------------------------------
+
+@pytest.mark.parametrize("labels, columns", [
+    (("a",), ((0, (1, 2)),)), (("a",), ((-1, (1, 2)),)),
+    (("a",), ((2, (2, 4)),)), (("a",), ((1, (1, 2, 3)),)),
+    (("a", "a"), ((1, (1, 0)), (1, (0, 1))))],
+    ids=["den-0", "den-negative", "not-in-lowest-terms", "wrong-length",
+         "duplicate-labels"])
+def test_representation_rejects_a_noncanonical_record(labels, columns):
+    with pytest.raises(UsageError):
+        Representation(1, 2, labels, columns)
+
+
+def test_representation_is_the_integer_columns():
+    """Equal matrices are equal records: the columns are the lowest-terms
+    integer columns, however the entries were written."""
+    half = Fraction(1, 2)
+    rep = representation_from_rows([[half, 0], [Fraction(3, 4), 2]], 1)
+    assert rep == Representation(1, 2, ("e1", "e2"),
+                                 ((4, (2, 3)), (1, (0, 2))))
+    w = CyclotomicNumber(3, [0, half])
+    assert representation_from_rows([[w, 1]], 3) == Representation(
+        3, 1, ("e1", "e2"), ((2, (0, 1)), (1, (1, 0))))
+    assert Matroid(rep).to_representation() == rep
+
+
+def test_representation_from_rows_checks_the_conductor():
+    with pytest.raises(ConductorMismatchError):
+        representation_from_rows([[CyclotomicNumber(4, [0, 1])]], 3)
