@@ -71,6 +71,9 @@ class Representation:
     columns: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if self.conductor < 1:
+            raise UsageError(
+                f"conductor {self.conductor} is not a positive integer")
         if len(self.columns) != len(self.labels):
             raise UsageError("column count does not match label count")
         if len(set(self.labels)) != len(self.labels):
@@ -518,9 +521,11 @@ class Matroid:
 
     # -- flats -------------------------------------------------------------
 
-    def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET):
+    def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET, *,
+                      max_size=None):
         """All rank-k flats, each once, canonically sorted (by the ground
-        positions of their elements).
+        positions of their elements); with `max_size`, only those with at
+        most `max_size` elements.
 
         The flats are reached by a walk down chains of flats
         {} = C_0 < C_1 < ... < C_k, each covering the one before.  The
@@ -528,10 +533,16 @@ class Matroid:
         M/C, and a chain takes P only if the first element of P in ground
         order comes after that of the point taken one step before.  Such
         a chain is the closure chain of the greedy basis of C_k, so every
-        flat of rank at most k is formed exactly once.
+        flat of rank at most k is formed exactly once, and the walk,
+        depth first with points in order of first element, meets the
+        rank-k flats in canonical order.  Every step of a chain adds at
+        least one element, so at a rank-r flat C the walk skips a point P
+        with len(C) + len(P) + (k - r - 1) > max_size: no rank-k flat
+        that small lies beyond it.
 
         `budget` bounds the number of flats the walk forms, at ranks 1..k;
-        each one is counted in `flats_formed`.
+        each one is counted in `flats_formed`, and a skipped point forms
+        none.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
@@ -542,6 +553,9 @@ class Matroid:
         found = []
         ring, meter = self._ring, self._meter
         limit = meter.flats + budget
+        # without a bound, a cap no chain reaches: no flat has more than
+        # len(ground) elements
+        cap = len(self.ground) + k if max_size is None else max_size
 
         # At the flat C (ground positions, sorted) every element i outside
         # C carries residues[i], its column reduced against an echelon
@@ -556,7 +570,8 @@ class Matroid:
                 points.setdefault(key, []).append(i)
             for point in points.values():
                 first = point[0]
-                if first <= last:
+                if (first <= last
+                        or len(flat) + len(point) + (k - rank - 1) > cap):
                     continue
                 meter.flats += 1
                 if meter.flats > limit:
@@ -586,7 +601,6 @@ class Matroid:
         ground = self.ground
         walk((), 0, -1, {i: self._columns[e] for i, e in enumerate(ground)},
              {i: self._points[e] for i, e in enumerate(ground)})
-        found.sort()
         return [Flat(tuple(ground[i] for i in flat), k) for flat in found]
 
     # -- materialization ---------------------------------------------------
@@ -651,6 +665,12 @@ def parse_matrix(text: str) -> Representation:
             raise MatrixParseError(
                 f"expected {m} labels, got {len(labels)}", line=lineno)
         rest = rest[1:]
+    if not m and not rest:
+        # a matrix with no columns is written as d blank rows
+        if d < 0:
+            raise MatrixParseError("expected a row count of at least 0",
+                                   line=lines[1][0])
+        return Representation(conductor, d, labels or (), ())
     if len(rest) != d:
         raise MatrixParseError(
             f"expected {d} matrix rows, got {len(rest)}")

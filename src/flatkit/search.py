@@ -153,7 +153,9 @@ def is_ordinary(M: Matroid, F: Flat):
     """Witness that F is a point plus a rank-(k-1) flat, or None.
 
     Tries each parallel class P inside F in canonical order; F minus P
-    must be a flat of rank k-1.
+    must be a flat of rank k-1.  As F is a flat, so is a subset of F
+    that is closed in the restriction to F, where its closure tests only
+    F's elements.
     """
     if not M.is_loopless():
         raise UsageError("is_ordinary requires a loopless matroid")
@@ -162,11 +164,11 @@ def is_ordinary(M: Matroid, F: Flat):
     k = F.rank
     if k < 1:
         raise UsageError("ordinary flats have rank >= 1")
+    MF = M.restrict(F.elements)
     for P in M.parallel_classes(within=F.elements):
         rest = [e for e in F.elements if e not in set(P)]
-        if M.rank(rest) != k - 1:
-            continue
-        if M.is_flat(rest):
+        closed = MF.closure(rest)
+        if closed.rank == k - 1 and set(closed.elements) == set(rest):
             return OrdinaryWitness(flat=F, point=Flat(tuple(P), 1),
                                    complement=Flat(tuple(rest), k - 1))
     return None
@@ -180,14 +182,15 @@ def is_elementary(M: Matroid, F: Flat) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def _scan_slice(M, k, budget, test):
-    """First (flat, test(flat)) in the canonical rank-k slice with a
-    truthy test result, or None."""
+def _scan_slice(M, k, budget, test, max_size=None):
+    """First (flat, test(flat)) in the canonical rank-k slice, or in its
+    flats of at most `max_size` elements, with a truthy test result, or
+    None."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
     if not (1 <= k <= M.rank()):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
-    for fl in M.flats_of_rank(k, budget=budget):
+    for fl in M.flats_of_rank(k, budget=budget, max_size=max_size):
         hit = test(fl)
         if hit:
             return fl, hit
@@ -204,8 +207,10 @@ def find_elementary_flat_brute(M: Matroid, k: int,
                                budget: int = DEFAULT_CLOSURE_BUDGET):
     """First elementary flat in the canonical rank-k slice, or None.
     The scan runs on a simple matroid, whose points are its elements, so
-    a rank-k flat is elementary iff it has k elements."""
-    got = _scan_slice(M, k, budget, lambda fl: len(fl) == k)
+    a rank-k flat is elementary iff it has k elements, and the walk,
+    bounded by that size, follows only chains whose flats have as many
+    elements as their ranks."""
+    got = _scan_slice(M, k, budget, lambda fl: len(fl) == k, max_size=k)
     return got[0] if got else None
 
 

@@ -12,7 +12,13 @@ from flatkit.catalog import (
     uniform_power,
 )
 from flatkit.errors import MatrixParseError
-from flatkit.matroid import MAX_FILE_CONDUCTOR, parse_matrix, write_matrix
+from flatkit.matroid import (
+    MAX_FILE_CONDUCTOR,
+    Matroid,
+    parse_matrix,
+    representation_from_rows,
+    write_matrix,
+)
 
 
 def trial_minors():
@@ -24,11 +30,19 @@ def trial_minors():
         yield M.contract(M.closure(M.ground[:2])).to_representation()
 
 
+def columnless():
+    """Matrices with rows but no columns: one built from empty rows and
+    the empty restriction of a contraction of AG(2,3)."""
+    yield representation_from_rows([[], []], 1)
+    M = Matroid(ag23())
+    yield M.contract(M.closure(M.ground[:2])).restrict([]).to_representation()
+
+
 @pytest.mark.parametrize("rep", [
     ag23(), uniform(2, 3), motzkin(),
     random_instance(4, 8, 4, seed=11),
     random_instance(3, 6, 3, seed=2),
-    ag23_power(2), uniform_power(2, 3, 3), *trial_minors(),
+    ag23_power(2), uniform_power(2, 3, 3), *trial_minors(), *columnless(),
 ])
 def test_roundtrip_identity(rep):
     text = write_matrix(rep)
@@ -91,3 +105,13 @@ def test_huge_declared_column_count_is_refused_before_any_label(rows):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text)
     assert exc.value.line == 2 + rows
+
+
+def test_columnless_rows_need_no_row_lines():
+    """A matrix with no columns writes its rows as blank lines, so its
+    row count is read off the size line alone."""
+    rep = parse_matrix("conductor 3\nsize 4 0\n")
+    assert (rep.conductor, rep.rows, rep.labels, rep.columns) == (3, 4, (), ())
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix("conductor 1\nsize -1 0\nlabels\n")
+    assert exc.value.line == 2

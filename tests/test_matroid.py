@@ -333,3 +333,11 @@ def test_representation_is_the_integer_columns():
 def test_representation_from_rows_checks_the_conductor():
     with pytest.raises(ConductorMismatchError):
         representation_from_rows([[CyclotomicNumber(4, [0, 1])]], 3)
+
+
+@pytest.mark.parametrize("conductor", [0, -3])
+def test_representation_checks_the_conductor_is_positive(conductor):
+    for build in (lambda: Representation(conductor, 0, (), ()),
+                  lambda: representation_from_rows([[1]], conductor)):
+        with pytest.raises(UsageError, match=f"conductor {conductor} "):
+            build()
