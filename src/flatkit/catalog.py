@@ -79,19 +79,21 @@ def uniform_power(r: int, n: int, t: int) -> Representation:
 
 SUPPORTED_CONDUCTORS = (1, 3, 4)
 
+# Draws the generator makes before it gives up on a shape.
+MAX_TRIES = 1000
+
 
 def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
-                    bound: int = 10, max_tries: int = 1000) -> Representation:
+                    bound: int = 10) -> Representation:
     """Seeded d x m representation, rejection-sampled until simple and of
     full rank d; basis coordinates are rationals randint(-bound, bound) /
     randint(1, bound), drawn and tested as integer columns.  A shape no
     simple matroid has (a negative rank, rank 0 with an element, rank 1
     with two) is refused before any draw."""
-    return _random_matroid(d, m, conductor, seed, bound,
-                           max_tries).to_representation()
+    return _random_matroid(d, m, conductor, seed, bound).to_representation()
 
 
-def _random_matroid(d, m, conductor, seed, bound=10, max_tries=1000):
+def _random_matroid(d, m, conductor, seed, bound=10):
     """The matroid of random_instance(...), built from integer columns."""
     if d < 0:
         raise UnsatisfiableShapeError(f"rank must be at least 0, got {d}")
@@ -106,13 +108,13 @@ def _random_matroid(d, m, conductor, seed, bound=10, max_tries=1000):
         raise UsageError(f"bound must be at least 1, got {bound}")
     rng = random.Random(seed)
     labels = tuple(f"e{i + 1}" for i in range(m))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         columns = _draw_columns(rng, d, m, conductor, bound)
         mat = Matroid._from_columns(conductor, labels, d, columns)
         if mat.rank() == d and mat.is_simple():
             return mat
     raise GenerationError(
-        f"no simple rank-{d} instance after {max_tries} tries")
+        f"no simple rank-{d} instance after {MAX_TRIES} tries")
 
 
 def _draw_columns(rng, d, m, conductor, bound):

@@ -102,14 +102,15 @@ def cmd_analyze(args) -> int:
         return EXIT_FOUND
     flats_out = None
     if args.flats is not None:
-        flats = M.flats_of_rank(args.flats, budget=args.budget)
+        flats = list(M.flats_of_rank(args.flats, budget=args.budget))
         flats_out = []
         for fl in flats:
             flats_out.append({
                 "elements": list(fl.elements),
                 "size": len(fl.elements),
                 "points": len(M.parallel_classes(within=fl.elements)),
-                "ordinary": is_ordinary(M, fl) is not None,
+                # the empty flat is not ordinary: that takes rank >= 1
+                "ordinary": fl.rank > 0 and is_ordinary(M, fl) is not None,
                 "elementary": is_elementary(M, fl),
             })
         out["flats"] = {"rank": args.flats, "count": len(flats),
@@ -155,23 +156,21 @@ def cmd_find_ordinary(args) -> int:
     M = Matroid(rep)
     trace = None
     if args.method == "constructive":
-        flat, witness, trace = find_ordinary_flat_constructive(
+        w, trace = find_ordinary_flat_constructive(
             M, args.k, budget=args.budget)
-        got = (flat, witness)
     else:
-        got = find_ordinary_flat_brute(M, args.k, budget=args.budget)
+        w = find_ordinary_flat_brute(M, args.k, budget=args.budget)
     payload = {"mode": args.method, "k": args.k,
-               "outcome": "witness found" if got else "exhausted",
+               "outcome": "witness found" if w else "exhausted",
                "witness": None}
-    if got:
-        flat, w = got
-        payload["witness"] = {"flat": list(flat.elements),
+    if w:
+        payload["witness"] = {"flat": list(w.flat.elements),
                               "point": list(w.point.elements),
                               "complement": list(w.complement.elements)}
     if args.trace and trace is not None:
         payload["trace"] = trace.to_json_dict()
     _emit_find(args, payload)
-    return EXIT_FOUND if got else EXIT_NONE
+    return EXIT_FOUND if w else EXIT_NONE
 
 
 def cmd_find_elementary(args) -> int:
@@ -200,10 +199,11 @@ def _verify_trial(suite, M, k):
         w = find_two_point_line(M)
         return w, w is not None
     if suite == "main-theorem":
-        flat, witness, _ = find_ordinary_flat_constructive(M, k)
+        witness, _ = find_ordinary_flat_constructive(M, k)
         # independent recheck on a matroid built afresh from the
         # matrix; a witness that is not a flat there fails the trial
         fresh = Matroid(M.to_representation())
+        flat = witness.flat
         closed = fresh.closure(flat.elements)
         ok = (set(closed.elements) == set(flat.elements)
               and is_ordinary(fresh, closed) is not None)

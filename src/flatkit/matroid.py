@@ -523,9 +523,10 @@ class Matroid:
 
     def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET, *,
                       max_size=None):
-        """All rank-k flats, each once, canonically sorted (by the ground
-        positions of their elements); with `max_size`, only those with at
-        most `max_size` elements.
+        """An iterator over the rank-k flats, each once, canonically
+        sorted (by the ground positions of their elements); with
+        `max_size`, only those with at most `max_size` elements.  The
+        walk runs as the iterator advances.
 
         The flats are reached by a walk down chains of flats
         {} = C_0 < C_1 < ... < C_k, each covering the one before.  The
@@ -542,20 +543,19 @@ class Matroid:
 
         `budget` bounds the number of flats the walk forms, at ranks 1..k;
         each one is counted in `flats_formed`, and a skipped point forms
-        none.
+        none; the iterator raises when it would form one more.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
         if k < 0 or k > self.rank():
             raise UsageError(f"flat rank {k} out of range 0..{self.rank()}")
         if k == 0:
-            return [self.closure([])]
-        found = []
-        ring, meter = self._ring, self._meter
+            return iter([Flat((), 0)])
+        ring, meter, ground = self._ring, self._meter, self.ground
         limit = meter.flats + budget
         # without a bound, a cap no chain reaches: no flat has more than
         # len(ground) elements
-        cap = len(self.ground) + k if max_size is None else max_size
+        cap = len(ground) + k if max_size is None else max_size
 
         # At the flat C (ground positions, sorted) every element i outside
         # C carries residues[i], its column reduced against an echelon
@@ -578,7 +578,7 @@ class Matroid:
                     raise BudgetExceededError(f"flat budget {budget} exceeded")
                 cover = tuple(sorted(flat + tuple(point)))
                 if rank + 1 == k:
-                    found.append(cover)
+                    yield Flat(tuple(ground[i] for i in cover), k)
                     continue
                 meter.echelons += 1
                 row = keys[first]
@@ -596,12 +596,11 @@ class Matroid:
                     else:
                         down_keys[i] = keys[i]
                     down[i] = v
-                walk(cover, rank + 1, first, down, down_keys)
+                yield from walk(cover, rank + 1, first, down, down_keys)
 
-        ground = self.ground
-        walk((), 0, -1, {i: self._columns[e] for i, e in enumerate(ground)},
-             {i: self._points[e] for i, e in enumerate(ground)})
-        return [Flat(tuple(ground[i] for i in flat), k) for flat in found]
+        return walk((), 0, -1,
+                    {i: self._columns[e] for i, e in enumerate(ground)},
+                    {i: self._points[e] for i, e in enumerate(ground)})
 
     # -- materialization ---------------------------------------------------
 

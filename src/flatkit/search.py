@@ -183,23 +183,21 @@ def is_elementary(M: Matroid, F: Flat) -> bool:
 # brute-force oracles
 
 def _scan_slice(M, k, budget, test, max_size=None):
-    """First (flat, test(flat)) in the canonical rank-k slice, or in its
-    flats of at most `max_size` elements, with a truthy test result, or
-    None."""
+    """The first truthy test(flat) over the canonical rank-k slice, or
+    over its flats of at most `max_size` elements, or None; the walk
+    stops at that flat."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
     if not (1 <= k <= M.rank()):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
-    for fl in M.flats_of_rank(k, budget=budget, max_size=max_size):
-        hit = test(fl)
-        if hit:
-            return fl, hit
-    return None
+    walk = M.flats_of_rank(k, budget=budget, max_size=max_size)
+    return next(filter(None, map(test, walk)), None)
 
 
 def find_ordinary_flat_brute(M: Matroid, k: int,
                              budget: int = DEFAULT_CLOSURE_BUDGET):
-    """First ordinary flat in the canonical rank-k slice, with witness."""
+    """The witness of the first ordinary flat in the canonical rank-k
+    slice, or None."""
     return _scan_slice(M, k, budget, lambda fl: is_ordinary(M, fl))
 
 
@@ -210,8 +208,8 @@ def find_elementary_flat_brute(M: Matroid, k: int,
     a rank-k flat is elementary iff it has k elements, and the walk,
     bounded by that size, follows only chains whose flats have as many
     elements as their ranks."""
-    got = _scan_slice(M, k, budget, lambda fl: len(fl) == k, max_size=k)
-    return got[0] if got else None
+    return _scan_slice(M, k, budget, lambda fl: fl if len(fl) == k else None,
+                       max_size=k)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ def find_elementary_flat_brute(M: Matroid, k: int,
 def find_ordinary_flat_constructive(M: Matroid, k: int,
                                     budget: int = DEFAULT_CLOSURE_BUDGET):
     """Find an ordinary rank-k flat of a simple matroid with rank at
-    least 4(k-1), returning (flat, witness, trace).
+    least 4(k-1), returning (witness, trace).
 
     Base case k=2 is the two-point-line guarantee at rank >= 4; the
     recursive step restricts to the union of two flats over a common
@@ -239,16 +237,16 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
             "only the brute oracle handles that range")
     trace = ConstructionTrace()
     try:
-        flat, witness = _constructive(M, k, trace, M.flats_formed + budget)
+        witness = _constructive(M, k, trace, M.flats_formed + budget)
     except BudgetExceededError:
         # a scan's own budget is what the levels before it left over
         raise BudgetExceededError(f"flat budget {budget} exceeded") from None
-    return flat, witness, trace
+    return witness, trace
 
 
 def _constructive(M, k, trace, limit):
-    """One level of the recursion; the flats formed by all the levels
-    may bring M's `flats_formed` up to `limit`."""
+    """One level of the recursion, returning its witness; the flats
+    formed by all the levels may bring M's `flats_formed` up to `limit`."""
     if k == 2:
         line = find_two_point_line(M)
         _require(line is not None,
@@ -257,19 +255,16 @@ def _constructive(M, k, trace, limit):
         witness = OrdinaryWitness(flat=line, point=Flat((e1,), 1),
                                   complement=Flat((e2,), 1))
         trace.levels.append(TraceLevel(k=2, output=line))
-        return line, witness
+        return witness
 
     t = 4 * (k - 2)
-    # the first basis prefix in ground order spans the contraction flat
-    basis = []
-    for e in M.ground:
-        if M.rank(basis + [e]) == len(basis) + 1:
-            basis.append(e)
-            if len(basis) == t:
-                break
-    _require(len(basis) == t, "could not grow a basis prefix", trace)
-    F = M.closure(basis)
-    MF, cls_map_f = M.contract(F).simplify()
+    # the contraction flat is spanned by the first t greedy-basis
+    # elements, which are those of the shortest ground prefix of rank t
+    g = M.ground
+    j = next((j for j in range(t, len(g) + 1) if M.rank(g[:j]) == t), None)
+    _require(j is not None, "no ground prefix has rank t", trace)
+    F = M.closure(g[:j])
+    MF = M.contract(F).simplify()[0]
     line = find_two_point_line(MF)  # rank >= 4 there, so guaranteed
     _require(line is not None, "no two-point line after contraction", trace)
     a, b = line.elements
@@ -294,7 +289,7 @@ def _constructive(M, k, trace, limit):
     N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
     _require(N2s.rank() == t, "contracted restriction has wrong rank", trace)
-    sub_flat, sub_witness = _constructive(N2s, k - 1, trace, limit)
+    sub_witness = _constructive(N2s, k - 1, trace, limit)
 
     # lift through the parallel-class quotient back to the contraction
     p_reps = set(sub_witness.point.elements)
@@ -349,15 +344,14 @@ def _constructive(M, k, trace, limit):
     trace.levels.append(TraceLevel(
         k=k, contracted_flat=F, f1=F1, f2=F2, x=x, y=y, z=z, w=w,
         f_prime=f_prime, output=out))
-    return out, witness
+    return witness
 
 
 def _choose_f_prime(N, K, x, y, k, limit):
     """The canonically least rank-(k-1) flat inside the rank-k flat K
     that contains x but not y, found by scanning K's (small) slice."""
-    got = _scan_slice(N.restrict(K.elements), k - 1, limit - N.flats_formed,
-                      lambda fl: x in fl and y not in fl)
-    return got[0] if got else None
+    return _scan_slice(N.restrict(K.elements), k - 1, limit - N.flats_formed,
+                       lambda fl: fl if x in fl and y not in fl else None)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +375,7 @@ def find_elementary_flat(M: Matroid, k: int,
             return None
         return M.closure([M.ground[0]])
     if M.rank() >= 4 ** (k - 1):
-        _, witness, _ = find_ordinary_flat_constructive(
+        witness, _ = find_ordinary_flat_constructive(
             M, 4 ** (k - 2) + 1, budget=budget)
         sub = find_elementary_flat(M.restrict(witness.complement.elements),
                                    k - 1, budget=budget)

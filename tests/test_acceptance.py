@@ -77,9 +77,9 @@ def test_main_theorem_k3():
     ok = True
     for i in range(25):
         _, rep = main_theorem_instance(i)
-        flat, _, _ = find_ordinary_flat_constructive(Matroid(rep), 3)
+        witness, _ = find_ordinary_flat_constructive(Matroid(rep), 3)
         fresh = Matroid(rep)
-        if is_ordinary(fresh, fresh.as_flat(flat.elements)) is None:
+        if is_ordinary(fresh, fresh.as_flat(witness.flat.elements)) is None:
             ok = False
     criterion("main theorem k=3 (25 constructive runs + recheck)",
               ok, time.time() - t0, 300)
@@ -125,7 +125,7 @@ def test_conjecture2_tightness():
 def test_motzkin_example():
     t0 = time.time()
     M = Matroid(motzkin())
-    planes = M.flats_of_rank(3)
+    planes = list(M.flats_of_rank(3))
     ok = all(len(p.elements) >= 4 for p in planes)
     ok = ok and any(is_ordinary(M, p) is not None for p in planes)
     criterion("motzkin example: planes >= 4 elements, one ordinary",

@@ -29,7 +29,7 @@ def test_ag23_incidence_profile():
     assert M.rank() == 3
     assert M.is_simple()
     assert len(M.ground) == 9
-    lines = M.flats_of_rank(2)
+    lines = list(M.flats_of_rank(2))
     assert len(lines) == 12
     assert all(len(l.elements) == 3 for l in lines)
     assert find_two_point_line(M) is None
@@ -66,7 +66,7 @@ def test_uniform_bad_params():
 def test_motzkin_certificates():
     M = Matroid(motzkin())
     assert M.rank() == 4 and len(M.ground) == 6
-    planes = M.flats_of_rank(3)
+    planes = list(M.flats_of_rank(3))
     assert all(len(p.elements) == 4 for p in planes)
     assert any(is_ordinary(M, p) is not None for p in planes)
 
@@ -155,7 +155,7 @@ def test_random_instance_param_checks():
 def test_random_instance_rejection_limit():
     with pytest.raises(GenerationError):
         # three elements in rank 1 are always parallel, never simple
-        random_instance(1, 3, seed=0, max_tries=5)
+        random_instance(1, 3, seed=0)
 
 
 @pytest.mark.parametrize("d, m", [(-2, -1), (0, 1), (1, 2)],
@@ -172,7 +172,7 @@ def test_random_instance_refuses_never_simple_shape(monkeypatch, d, m):
 def test_random_instance_rejection_limit_on_a_satisfiable_shape():
     # rank 2 over Q with coordinates in {-1, 0, 1} has only four points
     with pytest.raises(GenerationError):
-        random_instance(2, 5, seed=0, bound=1, max_tries=5)
+        random_instance(2, 5, seed=0, bound=1)
 
 
 @pytest.mark.parametrize("d, m", [(0, 0), (1, 1)])

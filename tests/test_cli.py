@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,20 @@ def test_analyze_flats_annotations(capsys):
     for f in doc["flats"]["list"]:
         assert f["points"] == 3
         assert not f["ordinary"] and not f["elementary"]
+
+
+def test_analyze_rank_zero_flat(capsys):
+    """The empty flat is listed, elementary and not ordinary."""
+    code, out, _ = run(capsys, "analyze", "ag23", "--flats", "0", "--json")
+    assert code == 0
+    flats = json.loads(out)["flats"]
+    assert flats["count"] == 1
+    assert flats["list"] == [{"elements": [], "size": 0, "points": 0,
+                              "ordinary": False, "elementary": True}]
+    code, out, _ = run(capsys, "analyze", "ag23", "--flats", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "rank-0 flats: 1", "  {}  0 points, not ordinary, elementary"]
 
 
 def test_analyze_parse_error_exit_2(capsys, tmp_path):
@@ -351,6 +366,24 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     assert report["stats"]["rank_calls"] > own[0] > 0
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (["search", "--conjecture", "1", "--k", "3", "--trials", "25"],
+     {"flats_enumerated": 75}),
+    (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
+     {"rank_calls": 20, "flats_enumerated": 2}),
+], ids=["search-c1-k3", "main-theorem-k3"])
+def test_scans_stop_at_their_first_hit(capsys, argv, counts):
+    """Each scan stops at its first hit: conjecture 1 forms one chain of
+    three flats per instance (2,269 flats with whole slices), and a
+    main-theorem trial builds 20 echelon bases (25 with whole slices and
+    a basis grown one element at a time)."""
+    code, out, _ = run(capsys, *argv, "--seed", "0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    stats = doc["reports"][0]["stats"] if "reports" in doc else doc["stats"]
+    assert {name: stats[name] for name in counts} == counts
+
+
 @pytest.mark.parametrize("planted", ["not a flat", "whole ground set"])
 def test_verify_main_theorem_recheck_failure_exit_4(
         capsys, monkeypatch, tmp_path, planted):
@@ -359,10 +392,14 @@ def test_verify_main_theorem_recheck_failure_exit_4(
     (a flat, not ordinary), fails its trial: exit 4, instance dumped."""
     from flatkit.catalog import trial_instances
     from flatkit.matroid import Flat, load_matrix
+    from flatkit.search import OrdinaryWitness
 
     def planted_witness(M, k):
         elements = M.ground[:9] if planted == "not a flat" else M.ground
-        return Flat(elements, M.rank()), None, None
+        witness = OrdinaryWitness(
+            flat=Flat(elements, M.rank()), point=Flat(elements[:1], 1),
+            complement=Flat(elements[1:], M.rank() - 1))
+        return witness, None
 
     monkeypatch.setattr(cli, "find_ordinary_flat_constructive",
                         planted_witness)
@@ -437,6 +474,16 @@ def test_catalog_export_unwritable_path_exit_3(capsys, tmp_path):
 def test_random_ref_bound_below_1_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "random:4,8,1,0,0")
     assert code == 3 and err.startswith("error: bound must be at least 1")
+
+
+def test_random_ref_cannot_set_the_draw_limit(capsys):
+    """A sixth parameter is refused before any draw, so a reference
+    cannot make the rejection sampling run for as long as it likes."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "random:2,5,1,0,1,100000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: bad parameters for 'random'")
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -242,7 +242,7 @@ def assert_flat_walk(M):
     total = 0
     for k in range(M.rank() + 1):
         before = M.flats_formed
-        flats = M.flats_of_rank(k)
+        flats = list(M.flats_of_rank(k))
         elements = [fl.elements for fl in flats]
         assert len(set(elements)) == len(elements)
         assert elements == brute_flats(M, k)
@@ -252,8 +252,8 @@ def assert_flat_walk(M):
         total += len(flats)
         assert M.flats_formed - before == total
         with pytest.raises(BudgetExceededError):
-            M.flats_of_rank(k, budget=total - 1)
-        assert len(M.flats_of_rank(k, budget=total)) == len(flats)
+            list(M.flats_of_rank(k, budget=total - 1))
+        assert len(list(M.flats_of_rank(k, budget=total))) == len(flats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,22 +269,38 @@ def test_flat_walk_matches_brute_oracle_on_catalog(ref):
     assert_flat_walk(Matroid(build_ref(ref)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_flat_walk_first_flat_forms_one_chain(case):
+    """The walk is lazy: its first rank-k flat, the first of the whole
+    list, forms one flat at each rank 1..k, so a budget of k suffices."""
+    rep, _ = case
+    M = Matroid(rep)
+    M = M.restrict([e for e in M.ground if e not in M.loops()])
+    for k in range(1, M.rank() + 1):
+        before = M.flats_formed
+        first = next(M.flats_of_rank(k, budget=k))
+        assert M.flats_formed - before == k
+        assert first == list(M.flats_of_rank(k))[0]
+
+
 def assert_bounded_walk(M, ranks):
     """flats_of_rank(k, max_size=s) is flats_of_rank(k) cut to the flats
     of at most s elements, for every s up to one past the largest, and a
     budget of exactly the number of flats it forms is the least that
     completes."""
     for k in ranks:
-        flats = M.flats_of_rank(k)
+        flats = list(M.flats_of_rank(k))
         for s in range(max(map(len, flats)) + 2):
             before = M.flats_formed
-            bounded = M.flats_of_rank(k, max_size=s)
+            bounded = list(M.flats_of_rank(k, max_size=s))
             formed = M.flats_formed - before
             assert bounded == [fl for fl in flats if len(fl) <= s]
             if formed:
                 with pytest.raises(BudgetExceededError):
-                    M.flats_of_rank(k, budget=formed - 1, max_size=s)
-            assert M.flats_of_rank(k, budget=formed, max_size=s) == bounded
+                    list(M.flats_of_rank(k, budget=formed - 1, max_size=s))
+            assert list(M.flats_of_rank(k, budget=formed,
+                                        max_size=s)) == bounded
 
 
 @settings(max_examples=60, deadline=None)

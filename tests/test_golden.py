@@ -42,8 +42,16 @@ GOLDEN = {
         (1, "04c98ee6b146a63c2a407c81b7f8b76e38806c4024b79e622327fe902ba2b4fe"),
     "find-ordinary ag23_power:2 --k 2":
         (0, "7c0ea0b380d298f3508c06aa2784651ac037564ee50f59fcb5c7dd72542efe93"),
+    "find-ordinary motzkin --k 3":
+        (0, "1ffbd292467c4251223bf9942309d83ae0d3aff36a69aed95850055ce641a383"),
+    "find-ordinary random:8,13,1,42 --k 3 --method constructive --trace":
+        (0, "3ed455cdae4e073ef24a72192d5a6ecbf1fa3ec8a133898cb03b8c9e466f5dbf"),
+    "find-ordinary uniform_power:2,3,6 --k 4 --method constructive --trace":
+        (0, "3af630d722be9b462df4af69c5ad6022e00a8d80e2162010949973c29947ddb5"),
     "search --conjecture 1 --k 3 --trials 5 --seed 0":
         (0, "e03045a317c689c9fe3a1969e2835bd76b032b30a8f272b154180cef57ea2788"),
+    "search --conjecture 1 --k 4 --trials 5 --seed 0":
+        (0, "09506bcd21680b069a268dc449696c5fb5ecf4c1fcbc95aa79c48ddd3e1d5c46"),
     "search --conjecture 2 --k 2 --trials 25 --seed 0":
         (0, "91b6f97c489326dfd46447b5c5f0e605453a1ab434baa5fd3745ad43e636e249"),
     "verify --suite corollary --k 2 --trials 5 --seed 0":
@@ -52,6 +60,10 @@ GOLDEN = {
         (0, "b30414cc059d530cee834c4e8ef60f14686518e691bdd531bf79004f3bdf7b0a"),
     "verify --suite main-theorem --k 2 --trials 5 --seed 0 --conductor 3":
         (0, "688ace7a8decacc16994216a594312b2400029298ebee124fb7efb3282a1a6d3"),
+    "verify --suite main-theorem --k 4 --trials 3 --seed 0 --conductor 4":
+        (0, "78b04c84056340a7bc41d80c3123d33a59a1b63cc55c6d7b3ea15c1fb1a2728d"),
+    "verify --suite main-theorem --k 5 --trials 3 --seed 0":
+        (0, "50344aaac5bdfbfca16209da8d5c6bbb074a618a4112c5adda77e2c51987390f"),
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatkit.catalog import ag23, uniform
+from flatkit.catalog import ag23, ag23_power, uniform
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import (
     BudgetExceededError,
@@ -157,19 +157,19 @@ def test_parallel_pair_simplified():
 # -- flats_of_rank -----------------------------------------------------------
 
 def test_ag23_line_slice():
-    flats = Matroid(ag23()).flats_of_rank(2)
+    flats = list(Matroid(ag23()).flats_of_rank(2))
     assert len(flats) == 12
     assert all(len(f.elements) == 3 for f in flats)
 
 
 def test_rank_zero_slice():
-    flats = Matroid(ag23()).flats_of_rank(0)
+    flats = list(Matroid(ag23()).flats_of_rank(0))
     assert flats == [Flat((), 0)]
 
 
 def test_two_lines_plane_slice():
     M = Matroid(two_lines())
-    flats = M.flats_of_rank(3)
+    flats = list(M.flats_of_rank(3))
     # oracle: every closure of a 3-subset, deduplicated
     expect = set()
     for triple in itertools.combinations(M.ground, 3):
@@ -186,8 +186,18 @@ def test_flats_out_of_range():
 
 
 def test_flats_budget():
+    walk = Matroid(ag23()).flats_of_rank(2, budget=3)
     with pytest.raises(BudgetExceededError):
-        Matroid(ag23()).flats_of_rank(2, budget=3)
+        list(walk)
+
+
+def test_flat_walk_is_lazy():
+    # the whole rank-6 slice of ag23^4 takes more than 100,000 flats; its
+    # first flat, the first two copies of AG(2,3), takes one per rank
+    M = Matroid(ag23_power(4))
+    first = next(M.flats_of_rank(6, budget=6))
+    assert first == Flat(M.ground[:18], 6)
+    assert M.flats_formed == 6
 
 
 # -- restriction and contraction ---------------------------------------------
@@ -200,7 +210,7 @@ def test_restrict_full_is_identity():
 
 def test_restrict_ag23_line_is_u23():
     M = Matroid(ag23())
-    line = M.flats_of_rank(2)[0]
+    line = next(M.flats_of_rank(2))
     R = M.restrict(line.elements)
     for size in range(4):
         for X in itertools.combinations(line.elements, size):
@@ -301,7 +311,7 @@ def test_empty_ground_set_is_legal():
     rep = representation_from_rows([], 1, labels=())
     M = Matroid(rep)
     assert M.rank() == 0
-    assert M.flats_of_rank(0) == [Flat((), 0)]
+    assert list(M.flats_of_rank(0)) == [Flat((), 0)]
 
 
 # -- the representation record ----------------------------------------------

@@ -123,10 +123,9 @@ def test_brute_ag23_k2_none():
 
 
 def test_brute_motzkin_k3():
-    got = find_ordinary_flat_brute(Matroid(motzkin()), 3)
-    assert got is not None
-    flat, w = got
-    assert flat.rank == 3
+    w = find_ordinary_flat_brute(Matroid(motzkin()), 3)
+    assert w is not None
+    assert w.flat.rank == 3
     check_witness(Matroid(motzkin()), w)
 
 
@@ -134,10 +133,9 @@ def test_brute_ag23_sum_k2_cross_line():
     # within one block every line has 3 points, but a pair mixing the two
     # blocks is a closed two-point line (the rank-6 sum cannot avoid one)
     M = Matroid(ag23_power(2))
-    got = find_ordinary_flat_brute(M, 2)
-    assert got is not None
-    flat, _ = got
-    assert {e.split(".")[0] for e in flat.elements} == {"c1", "c2"}
+    w = find_ordinary_flat_brute(M, 2)
+    assert w is not None
+    assert {e.split(".")[0] for e in w.flat.elements} == {"c1", "c2"}
     # no witness inside a single block
     block = M.restrict([e for e in M.ground if e.startswith("c1.")])
     assert find_ordinary_flat_brute(block, 2) is None
@@ -156,15 +154,16 @@ def test_constructive_preconditions():
 def test_constructive_base_case_matches_kelly():
     rep = random_instance(4, 9, 1, seed=3)
     M = Matroid(rep)
-    flat, w, trace = find_ordinary_flat_constructive(M, 2)
-    assert flat == find_two_point_line(Matroid(rep))
+    w, trace = find_ordinary_flat_constructive(M, 2)
+    assert w.flat == find_two_point_line(Matroid(rep))
     assert trace.levels[-1].k == 2
 
 
 def test_constructive_k3_random():
     rep = random_instance(8, 14, 1, seed=7)
     M = Matroid(rep)
-    flat, w, trace = find_ordinary_flat_constructive(M, 3)
+    w, trace = find_ordinary_flat_constructive(M, 3)
+    flat = w.flat
     assert flat.rank == 3
     fresh = Matroid(rep)
     assert is_ordinary(fresh, fresh.as_flat(flat.elements)) is not None
@@ -174,7 +173,8 @@ def test_constructive_k3_random():
 
 def test_constructive_k4_line_sum():
     M = Matroid(uniform_power(2, 3, 6))  # rank 12
-    flat, w, trace = find_ordinary_flat_constructive(M, 4)
+    w, trace = find_ordinary_flat_constructive(M, 4)
+    flat = w.flat
     assert flat.rank == 4
     assert is_ordinary(M, flat) is not None
     # the output flat's own slice also carries a brute witness
@@ -185,8 +185,8 @@ def test_constructive_k4_line_sum():
 def test_constructive_strategies_agree_on_success():
     rep = random_instance(8, 13, 1, seed=19)
     M = Matroid(rep)
-    flat, w, _ = find_ordinary_flat_constructive(M, 3)
-    assert is_ordinary(M, flat) is not None
+    w, _ = find_ordinary_flat_constructive(M, 3)
+    assert is_ordinary(M, w.flat) is not None
 
 
 def constructive_instances():
@@ -205,15 +205,16 @@ def test_constructive_budget_spans_the_recursion(build, k):
     budget: the `flats_formed` delta of a full run is the least budget
     that completes, on a fresh matroid or one that has already worked."""
     M = build()
-    flat, _, _ = find_ordinary_flat_constructive(M, k)
+    witness, _ = find_ordinary_flat_constructive(M, k)
     formed = M.flats_formed
     assert formed > 0 and M.rank_calls > 0
-    assert find_ordinary_flat_constructive(build(), k, budget=formed)[0] == flat
+    assert (find_ordinary_flat_constructive(build(), k, budget=formed)[0]
+            == witness)
     with pytest.raises(BudgetExceededError,
                        match=f"^flat budget {formed - 1} exceeded$"):
         find_ordinary_flat_constructive(build(), k, budget=formed - 1)
     # the budget is counted from the call, not from the matroid's birth
-    assert find_ordinary_flat_constructive(M, k, budget=formed)[0] == flat
+    assert find_ordinary_flat_constructive(M, k, budget=formed)[0] == witness
     assert M.flats_formed == 2 * formed
     with pytest.raises(BudgetExceededError):
         find_ordinary_flat_constructive(M, k, budget=formed - 1)
@@ -225,7 +226,7 @@ def test_minors_share_the_work_meter():
     M = Matroid(ag23_power(2))
     rank_calls, flats = M.rank_calls, M.flats_formed
     N = M.restrict(M.ground[:6])
-    lines = N.flats_of_rank(2)
+    lines = list(N.flats_of_rank(2))
     assert M.flats_formed - flats == N.flats_formed - flats >= len(lines)
     C = M.contract(M.closure(M.ground[:1]))
     C.rank()
@@ -241,7 +242,7 @@ def test_oracle_agreement(k, seed):
     rank = 4 * (k - 1)
     rep = random_instance(rank, rank + 4, 1, seed=100 + seed)
     M = Matroid(rep)
-    flat, w, _ = find_ordinary_flat_constructive(M, k)
+    w, _ = find_ordinary_flat_constructive(M, k)
     check_witness(M, w)
     assert find_ordinary_flat_brute(Matroid(rep), k) is not None
 
@@ -249,7 +250,7 @@ def test_oracle_agreement(k, seed):
 def test_trace_level_invariants():
     rep = random_instance(8, 13, 1, seed=23)
     M = Matroid(rep)
-    _, _, trace = find_ordinary_flat_constructive(M, 3)
+    _, trace = find_ordinary_flat_constructive(M, 3)
     top = trace.levels[-1]
     assert top.k == 3
     f = set(top.contracted_flat.elements)
@@ -259,6 +260,41 @@ def test_trace_level_invariants():
     fresh = Matroid(rep)
     assert fresh.rank(top.f1.elements) == fresh.rank(top.contracted_flat.elements) + 1
     assert fresh.rank(f1 | f2) == fresh.rank(top.contracted_flat.elements) + 2
+
+
+def greedy_prefix_closure(M, t):
+    """The closure of the first t elements of M's greedy basis in ground
+    order, grown one rank test per element."""
+    basis = []
+    for e in M.ground:
+        if M.rank(basis + [e]) == len(basis) + 1:
+            basis.append(e)
+            if len(basis) == t:
+                break
+    assert len(basis) == t
+    return M.closure(basis)
+
+
+def base_flat_cases():
+    """(matroid, k): the line sum at k=4, where every third element
+    depends on the two before it, and rank-8 trial instances at k=3 over
+    each conductor."""
+    yield Matroid(uniform_power(2, 3, 6)), 4
+    for c in (1, 3, 4):
+        for _, M in trial_instances(8, 5, 0, c, (12, 14)):
+            yield M, 3
+
+
+@pytest.mark.parametrize("M, k", list(base_flat_cases()))
+def test_base_flat_is_the_greedy_prefix_closure(M, k):
+    """The top level contracts the closure of the shortest ground prefix
+    of rank 4(k-2), which is the flat of the first 4(k-2) greedy-basis
+    elements."""
+    _, trace = find_ordinary_flat_constructive(M, k)
+    top = trace.levels[-1]
+    assert top.k == k
+    fresh = Matroid(M.to_representation())
+    assert top.contracted_flat == greedy_prefix_closure(fresh, 4 * (k - 2))
 
 
 # -- elementary flats --------------------------------------------------------
