@@ -378,6 +378,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("trials", "budget"):
+            if getattr(args, flag, 0) < 0:
+                raise UsageError(f"--{flag} must be at least 0")
         return args.func(args)
     except MatrixParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

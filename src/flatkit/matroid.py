@@ -17,7 +17,11 @@ its zeta shifts, row times zeta^j.  Reducing v against it is
 v <- N(p) v - f row for f the entry of v at the pivot, at most phi
 whole-vector list comprehensions (one over Q).  Kept vectors are made
 primitive.  No field inverse is taken and nothing is divided except by
-an exact integer gcd.  Minors hold integer columns too: a restriction
+an exact integer gcd.  A closure rejects a non-member column by an
+integer functional that vanishes on the span (`_annihilator`): a nonzero
+dot product with it proves the column is outside, and only a column
+with a zero dot product is settled by `_reduce`, so every answer stays
+exact.  Minors hold integer columns too: a restriction
 keeps a subset of the columns and their point keys, and contracting a
 flat projects its span out of the other columns.  Points (parallel
 classes) are read off a projective normal form of each column.
@@ -29,6 +33,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, lcm
 
 from .cyclotomic import (
@@ -241,7 +246,7 @@ def _primitive(v) -> list:
 def _pivot(ring: _Ring, v):
     """The offset of the first nonzero entry of the flat vector v (the
     entry holding its first nonzero coordinate), None if v is zero."""
-    at = next((i for i, c in enumerate(v) if c), None)
+    at = next(compress(count(), v), None)
     return at if at is None else at - at % ring.phi
 
 
@@ -323,6 +328,35 @@ def _echelon(ring: _Ring, vectors) -> list:
         if len(basis) * phi == len(v):
             break
     return basis
+
+
+def _annihilator(ring: _Ring, basis, size: int):
+    """A nonzero integer functional on flat vectors of length `size`
+    that vanishes on the span of the echelon basis, as a list of `size`
+    ints; None if the basis spans everything.  A vector whose dot
+    product with it is nonzero lies outside the span.
+
+    Over Q the span is that of the stored shifts, and shift j of a row is
+    N at coordinate at + j, zero at the other coordinates of its pivot
+    entry and at the pivot entries of the rows before it.  The functional
+    is seeded with distinct weights at every coordinate outside the pivot
+    entries and solved up the rows from the last, fraction-free: at a
+    row, for s_j the dot product of its shift j with the functional, the
+    functional is multiplied by N and its coordinate at + j set to -s_j,
+    which makes that dot product zero.  No other shift of the row and no
+    shift of a later row is nonzero at at + j, so their dot products stay
+    zero."""
+    phi = ring.phi
+    pivots = {at + j for at, _, _ in basis for j in range(phi)}
+    if len(pivots) == size:
+        return None
+    dual = [0 if i in pivots else i + 1 for i in range(size)]
+    for at, value, shifts in reversed(basis):
+        dots = [sum(map(operator.mul, shift, dual)) for shift in shifts]
+        if any(dots):
+            dual = [value * c for c in dual]
+            dual[at:at + phi] = [-s for s in dots]
+    return _primitive(dual)
 
 
 def _point_key(ring: _Ring, column):
@@ -425,11 +459,20 @@ class Matroid:
         return self._rank
 
     def closure(self, labels) -> Flat:
+        """The flat spanned by `labels`.  An element outside `labels`
+        whose column has a nonzero dot product with the annihilator of
+        their span is outside it; any other one is settled by `_reduce`."""
         key = self._labels(labels)
         basis = self._basis(key)
+        if len(key) == len(self.ground):
+            return Flat(self.ground, len(basis))
         ring, columns = self._ring, self._columns
+        dual = _annihilator(ring, basis, self._rows * ring.phi)
+        if dual is None:
+            return Flat(self.ground, len(basis))
         closed = tuple(e for e in self.ground if e in key
-                       or not any(_reduce(ring, basis, columns[e])))
+                       or (not sum(map(operator.mul, dual, columns[e]))
+                           and not any(_reduce(ring, basis, columns[e]))))
         return Flat(closed, len(basis))
 
     def is_flat(self, labels) -> bool:

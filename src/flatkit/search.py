@@ -166,7 +166,8 @@ def is_ordinary(M: Matroid, F: Flat):
         raise UsageError("ordinary flats have rank >= 1")
     MF = M.restrict(F.elements)
     for P in M.parallel_classes(within=F.elements):
-        rest = [e for e in F.elements if e not in set(P)]
+        point = set(P)
+        rest = [e for e in F.elements if e not in point]
         closed = MF.closure(rest)
         if closed.rank == k - 1 and set(closed.elements) == set(rest):
             return OrdinaryWitness(flat=F, point=Flat(tuple(P), 1),

@@ -248,6 +248,51 @@ def test_search_budget_must_be_an_integer(capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "-3",
+      "--json"], "--trials"),
+    (["verify", "--suite", "kelly", "--trials", "-1"], "--trials"),
+    (["search", "--conjecture", "1", "--k", "2", "--trials", "-1"],
+     "--trials"),
+    (["search", "--conjecture", "1", "--k", "2", "--budget", "-1",
+      "--json"], "--budget"),
+    (["find-ordinary", "ag23", "--k", "2", "--budget", "-5"], "--budget"),
+    (["find-ordinary", "random:8,12,1,0", "--k", "3", "--method",
+      "constructive", "--budget", "-1"], "--budget"),
+    (["find-elementary", "ag23", "--k", "2", "--budget", "-1"], "--budget"),
+    (["analyze", "ag23", "--flats", "2", "--budget", "-1", "--json"],
+     "--budget"),
+])
+def test_negative_trials_or_budget_exit_3(capsys, monkeypatch, tmp_path,
+                                          argv, flag):
+    drawn = []
+    monkeypatch.setattr(cli.cat, "_draw_columns",
+                        lambda *args: drawn.append(args))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err == f"error: {flag} must be at least 0\n"
+    assert drawn == [] and os.listdir(tmp_path) == []
+
+
+def test_zero_trials_and_budget_keep_their_meaning(capsys, monkeypatch,
+                                                   tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                       "3", "--trials", "0", "--json")
+    assert code == 0 and json.loads(out)["reports"] == []
+    code, out, _ = run(capsys, "search", "--conjecture", "1", "--k", "2",
+                       "--trials", "0", "--json")
+    assert code == 0 and json.loads(out)["stats"]["rank_calls"] == 0
+    for argv in (["find-ordinary", "ag23", "--k", "2"],
+                 ["find-elementary", "ag23", "--k", "2"],
+                 ["analyze", "ag23", "--flats", "2"]):
+        code, out, err = run(capsys, *argv, "--budget", "0")
+        assert code == 6 and out == ""
+        assert err == "budget exceeded: flat budget 0 exceeded\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_input_file_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(tmp_path / "nodir" / "missing.mat"))
     assert code == 2 and out == ""

@@ -29,10 +29,12 @@ from flatkit.cyclotomic import (
     zero,
 )
 from flatkit.errors import BudgetExceededError
+from flatkit import matroid
 from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
     Flat,
     Matroid,
+    _annihilator,
     _ring,
     parse_matrix,
     representation_from_rows,
@@ -591,3 +593,73 @@ def test_integer_kernel_dense_4x8_high_phi(n, bound):
     subsets = [list(labels), ["e1", "e2", "e4"], ["e3", "e5"]]
     assert_kernels_agree(M, R, subsets)
     assert_contractions_agree(M, R, ["e3"], subsets)
+
+
+# -- the certificate of non-membership in a closure ---------------------------
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate(KERNEL_CONDUCTORS), st.data())
+def test_annihilator_vanishes_on_the_span(case, data):
+    """The functional of a basis is zero on every zeta shift of every
+    basis row and on every column of the closure, and it is None exactly
+    when the basis spans everything."""
+    rep, _ = case
+    M = Matroid(rep)
+    ring = _ring(rep.conductor)
+    S = subset(data, M.ground)
+    basis = M._basis(S)
+    dual = _annihilator(ring, basis, rep.rows * ring.phi)
+    if len(basis) == rep.rows:
+        assert dual is None
+        return
+    assert any(dual)
+    for _, _, shifts in basis:
+        assert all(dot(dual, shift) == 0 for shift in shifts)
+    columns = dict(zip(rep.labels, (v for _, v in rep.columns)))
+    assert all(dot(dual, columns[e]) == 0 for e in M.closure(S).elements)
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (3, 3)])
+def test_closure_settles_a_zero_dot_by_reduction(monkeypatch, n, d):
+    """Both outcomes of the exact fallback: c = a + b is in the closure
+    of {a, b}, and x, built from the functional of {a, b} so that its dot
+    product with it is zero, is not.  x is zero at every pivot
+    coordinate, where no nonzero vector of the span is."""
+    rng = random.Random(n)
+    phi = euler_phi(n)
+
+    def column():
+        return [CyclotomicNumber(n, [rng.randint(-3, 3) for _ in range(phi)])
+                for _ in range(d)]
+
+    a, b = column(), column()
+    c = [x + y for x, y in zip(a, b)]
+    ring = _ring(n)
+    pair = Matroid(representation_from_rows(zip(a, b), n, ("a", "b")))
+    basis = pair._basis(["a", "b"])
+    assert len(basis) == 2
+    dual = _annihilator(ring, basis, d * phi)
+    pivots = {at + j for at, _, _ in basis for j in range(phi)}
+    i, j = [t for t in range(d * phi) if t not in pivots][:2]
+    flat = [0] * (d * phi)
+    flat[i], flat[j] = dual[j], -dual[i]
+    x = [CyclotomicNumber(n, flat[t:t + phi]) for t in range(0, d * phi, phi)]
+    rep = representation_from_rows(zip(a, b, c, x), n, ("a", "b", "c", "x"))
+    columns = dict(zip(rep.labels, (v for _, v in rep.columns)))
+    assert dot(dual, columns["c"]) == 0 and dot(dual, columns["x"]) == 0
+
+    reduce, reduced = matroid._reduce, []
+
+    def spy(ring, basis, vector):
+        reduced.append(vector)
+        return reduce(ring, basis, vector)
+
+    M = Matroid(rep)
+    monkeypatch.setattr(matroid, "_reduce", spy)
+    assert M.closure(["a", "b"]) == Flat(("a", "b", "c"), 2)
+    assert columns["c"] in reduced and columns["x"] in reduced
+    assert M.rank(["a", "b", "x"]) == 3

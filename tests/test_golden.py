@@ -42,6 +42,8 @@ GOLDEN = {
         (1, "04c98ee6b146a63c2a407c81b7f8b76e38806c4024b79e622327fe902ba2b4fe"),
     "find-ordinary ag23_power:2 --k 2":
         (0, "7c0ea0b380d298f3508c06aa2784651ac037564ee50f59fcb5c7dd72542efe93"),
+    "find-ordinary ag23_power:2 --k 3":
+        (0, "d6b0fc9f9ce705280fcfddf783af2f3b11ce0ba91450ecfb22bb4efdaeebde3d"),
     "find-ordinary motzkin --k 3":
         (0, "1ffbd292467c4251223bf9942309d83ae0d3aff36a69aed95850055ce641a383"),
     "find-ordinary random:8,13,1,42 --k 3 --method constructive --trace":
@@ -56,6 +58,10 @@ GOLDEN = {
         (0, "91b6f97c489326dfd46447b5c5f0e605453a1ab434baa5fd3745ad43e636e249"),
     "verify --suite corollary --k 2 --trials 5 --seed 0":
         (0, "c7b9d39c0cc5af0f13ea5544cb90d5cc7764b194959fd3f2cc77dba0c25f2295"),
+    "verify --suite kelly --trials 10 --seed 0 --conductor 3":
+        (0, "cd324f2bd2d960188f4f973d249d4d59974b98b708d2cfc810de2a4cbf0b4b88"),
+    "verify --suite kelly --trials 10 --seed 0 --conductor 4":
+        (0, "08a3b74b30701a719d1b45137f4a103a6f7150f07822a941f7271967b98018b1"),
     "verify --suite main-theorem --k 3 --trials 5 --seed 0":
         (0, "b30414cc059d530cee834c4e8ef60f14686518e691bdd531bf79004f3bdf7b0a"),
     "verify --suite main-theorem --k 2 --trials 5 --seed 0 --conductor 3":

@@ -126,6 +126,27 @@ def test_ag23_pair_closures_are_three_point_lines():
         assert cl.rank == 2 and len(cl.elements) == 3
 
 
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_closure_of_nothing_is_the_loops(conductor):
+    rep = representation_from_rows(
+        [[1, 0, 2, 0, 1], [0, 0, 3, 0, 5], [4, 0, 1, 0, 0]], conductor)
+    M = Matroid(rep)
+    assert M.loops() == ("e2", "e4")
+    assert M.closure([]) == Flat(("e2", "e4"), 0)
+
+
+def test_closure_of_a_spanning_set_is_the_ground():
+    M = Matroid(ag23())
+    for spanning in (["h1", "h2", "h4"], M.ground[1:], M.ground):
+        assert M.closure(spanning) == Flat(M.ground, 3)
+
+
+def test_rank_zero_uniform_closes_to_both_loops():
+    M = Matroid(uniform(0, 2))
+    for labels in ([], ["e1"], ["e1", "e2"]):
+        assert M.closure(labels) == Flat(("e1", "e2"), 0)
+
+
 # -- simplicity --------------------------------------------------------------
 
 def test_ag23_simple():
