@@ -55,22 +55,12 @@ class ConstructionTrace:
     levels: list = field(default_factory=list)
 
     def to_json_dict(self):
-        out = []
-        for lv in self.levels:
-            out.append({
-                "k": lv.k,
-                "contracted_flat": _flat_elems(lv.contracted_flat),
-                "f1": _flat_elems(lv.f1),
-                "f2": _flat_elems(lv.f2),
-                "x": lv.x, "y": lv.y, "z": lv.z, "w": lv.w,
-                "f_prime": _flat_elems(lv.f_prime),
-                "output": _flat_elems(lv.output),
-            })
-        return {"levels": out}
-
-
-def _flat_elems(fl):
-    return list(fl.elements) if fl is not None else None
+        """Each level's fields in declaration order, a flat as its
+        element list."""
+        return {"levels": [
+            {name: list(v.elements) if isinstance(v, Flat) else v
+             for name, v in vars(lv).items()}
+            for lv in self.levels]}
 
 
 @dataclass
@@ -122,9 +112,9 @@ class SearchReport:
         }
 
 
-def _require(cond, message, trace=None):
+def _require(cond, message):
     if not cond:
-        raise InternalInconsistencyError(message, trace=trace)
+        raise InternalInconsistencyError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +140,30 @@ def find_two_point_line(M: Matroid):
 
 
 def is_ordinary(M: Matroid, F: Flat):
-    """Witness that F is a point plus a rank-(k-1) flat, or None.
+    """Witness that F is a point plus a rank-(k-1) flat, or None; None
+    also when F is not a flat of M or its rank is not F.rank.
 
-    Tries each parallel class P inside F in canonical order; F minus P
-    must be a flat of rank k-1.  As F is a flat, so is a subset of F
-    that is closed in the restriction to F, where its closure tests only
-    F's elements.
+    One closure of F confirms that F is a flat of rank k.  Then, for a
+    parallel class P inside F, F - P is a flat of rank k-1 exactly when
+    rank(F - P) = k-1: its closure stays inside F, as F - P is a subset
+    of the flat F; and if it held one element of P it would hold all of
+    P (P is a whole point of M, as F is a flat), so it would be F, of
+    rank k.  The classes are tried in canonical order.
     """
     if not M.is_loopless():
         raise UsageError("is_ordinary requires a loopless matroid")
-    if not M.is_flat(F.elements):
-        raise UsageError("is_ordinary expects a flat")
     k = F.rank
     if k < 1:
         raise UsageError("ordinary flats have rank >= 1")
-    MF = M.restrict(F.elements)
+    closed = M.closure(F.elements)
+    if closed.rank != k or set(closed.elements) != set(F.elements):
+        return None
     for P in M.parallel_classes(within=F.elements):
         point = set(P)
-        rest = [e for e in F.elements if e not in point]
-        closed = MF.closure(rest)
-        if closed.rank == k - 1 and set(closed.elements) == set(rest):
-            return OrdinaryWitness(flat=F, point=Flat(tuple(P), 1),
-                                   complement=Flat(tuple(rest), k - 1))
+        rest = tuple(e for e in F.elements if e not in point)
+        if M.rank(rest) == k - 1:
+            return OrdinaryWitness(flat=F, point=Flat(P, 1),
+                                   complement=Flat(rest, k - 1))
     return None
 
 
@@ -242,6 +234,10 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
     except BudgetExceededError:
         # a scan's own budget is what the levels before it left over
         raise BudgetExceededError(f"flat budget {budget} exceeded") from None
+    except InternalInconsistencyError as exc:
+        # every failed check of any level ships the trace so far
+        exc.trace = trace
+        raise
     return witness, trace
 
 
@@ -250,8 +246,6 @@ def _constructive(M, k, trace, limit):
     formed by all the levels may bring M's `flats_formed` up to `limit`."""
     if k == 2:
         line = find_two_point_line(M)
-        _require(line is not None,
-                 "two-point line missing at rank >= 4", trace)
         e1, e2 = line.elements
         witness = OrdinaryWitness(flat=line, point=Flat((e1,), 1),
                                   complement=Flat((e2,), 1))
@@ -263,33 +257,32 @@ def _constructive(M, k, trace, limit):
     # elements, which are those of the shortest ground prefix of rank t
     g = M.ground
     j = next((j for j in range(t, len(g) + 1) if M.rank(g[:j]) == t), None)
-    _require(j is not None, "no ground prefix has rank t", trace)
+    _require(j is not None, "no ground prefix has rank t")
     F = M.closure(g[:j])
     MF = M.contract(F).simplify()[0]
     line = find_two_point_line(MF)  # rank >= 4 there, so guaranteed
-    _require(line is not None, "no two-point line after contraction", trace)
     a, b = line.elements
 
     F1 = M.closure(set(F.elements) | {a})
     F2 = M.closure(set(F.elements) | {b})
     _require(F1.rank == t + 1 and F2.rank == t + 1,
-             "flats over the contraction line have wrong rank", trace)
+             "flats over the contraction line have wrong rank")
     _require(set(F1.elements) & set(F2.elements) == set(F.elements),
-             "the two flats must intersect exactly in the base flat", trace)
+             "the two flats must intersect exactly in the base flat")
     union = set(F1.elements) | set(F2.elements)
     fu = M.closure(union)
     _require(set(fu.elements) == union and fu.rank == t + 2,
-             "union of the two flats must be a flat of rank t+2", trace)
+             "union of the two flats must be a flat of rank t+2")
 
     N = M.restrict(union)
     x, y = a, b
     L = N.closure([x, y])
     _require(set(L.elements) == {x, y} and L.rank == 2,
-             "{x,y} must be a two-point line in the restriction", trace)
+             "{x,y} must be a two-point line in the restriction")
 
     N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
-    _require(N2s.rank() == t, "contracted restriction has wrong rank", trace)
+    _require(N2s.rank() == t, "contracted restriction has wrong rank")
     sub_witness = _constructive(N2s, k - 1, trace, limit)
 
     # lift through the parallel-class quotient back to the contraction
@@ -300,13 +293,13 @@ def _constructive(M, k, trace, limit):
 
     K = N.closure(H | {x, y})
     _require(set(K.elements) == H | {x, y} and K.rank == k,
-             "H with the line must be a rank-k flat", trace)
+             "H with the line must be a rank-k flat")
     pxy = N.closure(P | {x, y})
     _require(set(pxy.elements) == P | {x, y} and pxy.rank == 3,
-             "P with the line must be a plane", trace)
+             "P with the line must be a plane")
     hpxy = N.closure(H | P | {x, y})
     _require(set(hpxy.elements) == H | P | {x, y} and hpxy.rank == k + 1,
-             "H, P and the line must span a rank-(k+1) flat", trace)
+             "H, P and the line must span a rank-(k+1) flat")
 
     # claim-1 case split: prefer z outside the base flat
     f_set = set(F.elements)
@@ -325,23 +318,20 @@ def _constructive(M, k, trace, limit):
         z = ordered_p[0]
         if len(N.closure([z, x]).elements) == 2:
             zw = (z, x)
-    _require(zw is not None, "claim-1 two-point line not found", trace)
+    _require(zw is not None, "claim-1 two-point line not found")
     z, w = zw
     if w == y:
         x, y = y, x  # so that {x,z} is the two-point line
 
     f_prime = _choose_f_prime(N, K, x, y, k, limit)
     _require(f_prime is not None,
-             "no rank-(k-1) flat in K containing x but not y", trace)
+             "no rank-(k-1) flat in K containing x but not y")
 
-    out_set = set(f_prime.elements) | {z}
-    out = N.closure(out_set)
-    _require(set(out.elements) == out_set and out.rank == k,
-             "the assembled set must already be a rank-k flat", trace)
+    out = Flat(N._order(set(f_prime.elements) | {z}), k)
+    _require(is_ordinary(N, out) is not None,
+             "the assembled set must be an ordinary rank-k flat")
     witness = OrdinaryWitness(flat=out, point=Flat((z,), 1),
                               complement=f_prime)
-    _require(is_ordinary(N, out) is not None,
-             "assembled flat fails the ordinary recheck", trace)
     trace.levels.append(TraceLevel(
         k=k, contracted_flat=F, f1=F1, f2=F2, x=x, y=y, z=z, w=w,
         f_prime=f_prime, output=out))
@@ -400,13 +390,12 @@ CONJECTURE_RANK = {1: lambda k: k + 2, 2: lambda k: 3 * (k - 1) + 1}
 
 
 def conjecture_instances(conjecture: int, k: int, trials: int, seed: int,
-                         conductor: int = 1, cols=None):
+                         conductor: int = 1):
     """Seeded stream of (trial seed, Matroid) at exactly the rank
-    the conjecture demands, with rank+2 to rank+4 columns unless `cols`
-    gives the range."""
+    the conjecture demands, with rank+2 to rank+4 columns."""
     rank = CONJECTURE_RANK[conjecture](k)
     yield from trial_instances(rank, trials, seed, conductor,
-                               cols or (rank + 2, rank + 4))
+                               (rank + 2, rank + 4))
 
 
 def search_conjecture_counterexample(instances, conjecture: int, k: int,
@@ -415,7 +404,7 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
 
     Returns the report of the first counterexample (an instance whose
     flat slice is exhausted without a witness), a budget-exceeded report,
-    or an aggregate verify-pass report.
+    or an aggregate verify-pass report.  An empty stream is refused.
     """
     if conjecture not in (1, 2):
         raise UsageError("conjecture must be 1 or 2")
@@ -449,7 +438,9 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
             return SearchReport(
                 mode=mode, seed=seed, conductor=M.conductor, rank=need, k=k,
                 outcome=outcome, stats=total, instance=M.to_representation())
+    if base_seed is None:
+        raise UsageError("no instance to search: at least one trial is "
+                         "needed")
     return SearchReport(
-        mode="verify", seed=base_seed if base_seed is not None else 0,
-        conductor=conductor if conductor is not None else 1,
+        mode="verify", seed=base_seed, conductor=conductor,
         rank=need, k=k, outcome="witness found", stats=total)

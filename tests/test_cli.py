@@ -281,9 +281,11 @@ def test_zero_trials_and_budget_keep_their_meaning(capsys, monkeypatch,
     code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
                        "3", "--trials", "0", "--json")
     assert code == 0 and json.loads(out)["reports"] == []
-    code, out, _ = run(capsys, "search", "--conjecture", "1", "--k", "2",
-                       "--trials", "0", "--json")
-    assert code == 0 and json.loads(out)["stats"]["rank_calls"] == 0
+    # a search with no instance has no witness to report
+    code, out, err = run(capsys, "search", "--conjecture", "1", "--k", "2",
+                         "--trials", "0", "--json")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ")
     for argv in (["find-ordinary", "ag23", "--k", "2"],
                  ["find-elementary", "ag23", "--k", "2"],
                  ["analyze", "ag23", "--flats", "2"]):
@@ -368,6 +370,37 @@ def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
     assert f"dumped construction trace to {stem}.trace.json" in err
 
 
+def test_failed_two_point_line_check_dumps_the_trace(capsys, monkeypatch,
+                                                     tmp_path):
+    """A two-point-line check that fails inside the constructive search,
+    here the base level's at k=3, ends the run with the construction
+    trace dumped beside the instance."""
+    from flatkit import search
+    from flatkit.errors import InternalInconsistencyError
+
+    calls = []
+    line = search.find_two_point_line
+
+    def second_call_fails(M):
+        calls.append(M)
+        if len(calls) == 2:
+            raise InternalInconsistencyError("planted failure")
+        return line(M)
+
+    monkeypatch.setattr(search, "find_two_point_line", second_call_fails)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                         "3", "--trials", "1", "--seed", "0")
+    assert code == 4 and out == "" and len(calls) == 2
+    stem = "failure-main-theorem-k3-seed0"
+    assert sorted(os.listdir(tmp_path)) == [stem + ".mat",
+                                            stem + ".trace.json"]
+    # the base level fails before any level is recorded
+    assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
+        {"levels": []}
+    assert err.splitlines()[-1] == "internal inconsistency: planted failure"
+
+
 def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
     from flatkit.errors import InternalInconsistencyError
 
@@ -415,13 +448,12 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     (["search", "--conjecture", "1", "--k", "3", "--trials", "25"],
      {"flats_enumerated": 75}),
     (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
-     {"rank_calls": 20, "flats_enumerated": 2}),
+     {"rank_calls": 19, "flats_enumerated": 2}),
 ], ids=["search-c1-k3", "main-theorem-k3"])
 def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     """Each scan stops at its first hit: conjecture 1 forms one chain of
     three flats per instance (2,269 flats with whole slices), and a
-    main-theorem trial builds 20 echelon bases (25 with whole slices and
-    a basis grown one element at a time)."""
+    main-theorem trial builds 19 echelon bases."""
     code, out, _ = run(capsys, *argv, "--seed", "0", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -429,17 +461,24 @@ def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     assert {name: stats[name] for name in counts} == counts
 
 
-@pytest.mark.parametrize("planted", ["not a flat", "whole ground set"])
+@pytest.mark.parametrize("planted", ["not a flat", "whole ground set",
+                                     "rank-2 ordinary flat"])
 def test_verify_main_theorem_recheck_failure_exit_4(
         capsys, monkeypatch, tmp_path, planted):
-    """A witness that is not an ordinary flat of the rebuilt matroid, here
-    9 elements of a rank-8 instance (not a flat) or the whole ground set
-    (a flat, not ordinary), fails its trial: exit 4, instance dumped."""
+    """A witness that is not an ordinary rank-3 flat of the rebuilt
+    matroid, here 9 elements of a rank-8 instance (not a flat), the whole
+    ground set (a flat, not ordinary) or a two-point line (ordinary, of
+    rank 2), fails its trial: exit 4, instance dumped."""
     from flatkit.catalog import trial_instances
     from flatkit.matroid import Flat, load_matrix
     from flatkit.search import OrdinaryWitness
 
     def planted_witness(M, k):
+        if planted == "rank-2 ordinary flat":
+            witness = OrdinaryWitness(
+                flat=M.closure(M.ground[:2]), point=Flat(M.ground[:1], 1),
+                complement=Flat(M.ground[1:2], 1))
+            return witness, None
         elements = M.ground[:9] if planted == "not a flat" else M.ground
         witness = OrdinaryWitness(
             flat=Flat(elements, M.rank()), point=Flat(elements[:1], 1),

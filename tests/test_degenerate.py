@@ -40,7 +40,12 @@ from flatkit.matroid import (
     representation_from_rows,
     write_matrix,
 )
-from flatkit.search import find_elementary_flat_brute, is_elementary
+from flatkit.search import (
+    OrdinaryWitness,
+    find_elementary_flat_brute,
+    is_elementary,
+    is_ordinary,
+)
 
 
 @st.composite
@@ -347,6 +352,48 @@ def test_elementary_scan_matches_is_elementary(case):
 def test_elementary_scan_matches_is_elementary_on_catalog(ref):
     M = Matroid(build_ref(ref))
     assert_elementary_scan(M, range(1, 5))
+
+
+# ---------------------------------------------------------------------------
+# the ordinary check against its definition by restriction
+#
+# is_ordinary tests rank(F - P) = k-1 in place of closing F - P; the
+# reference closes F - P in the restriction to F, for each parallel
+# class P of F in canonical order.
+
+def restricted_is_ordinary(M, F):
+    MF = M.restrict(F.elements)
+    for P in M.parallel_classes(within=F.elements):
+        rest = tuple(e for e in F.elements if e not in P)
+        closed = MF.closure(rest)
+        if closed.rank == F.rank - 1 and set(closed.elements) == set(rest):
+            return OrdinaryWitness(flat=F, point=Flat(P, 1),
+                                   complement=Flat(rest, F.rank - 1))
+    return None
+
+
+def assert_ordinary_check(M):
+    """On every flat of rank >= 1 the check and the reference agree,
+    witness included; the same flat given another rank is refused."""
+    for k in range(1, M.rank() + 1):
+        for fl in M.flats_of_rank(k):
+            assert is_ordinary(M, fl) == restricted_is_ordinary(M, fl)
+            assert is_ordinary(M, Flat(fl.elements, k + 1)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_ordinary_check_matches_restriction(case):
+    rep, _ = case
+    M = Matroid(rep)
+    assert_ordinary_check(M.restrict([e for e in M.ground
+                                      if e not in M.loops()]))
+
+
+@pytest.mark.parametrize("ref", ["ag23_power:2", "motzkin",
+                                 "uniform_power:2,3,3"])
+def test_ordinary_check_matches_restriction_on_catalog(ref):
+    assert_ordinary_check(Matroid(build_ref(ref)))
 
 
 # ---------------------------------------------------------------------------

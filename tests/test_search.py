@@ -98,9 +98,14 @@ def test_motzkin_plane_point_plus_line():
 
 
 def test_is_ordinary_rejects_nonflat():
+    """A set that is not a flat, or a flat given another rank, is not an
+    ordinary flat."""
     M = Matroid(uniform(2, 3))
-    with pytest.raises(UsageError):
-        is_ordinary(M, Flat(("e1", "e2"), 2))
+    assert is_ordinary(M, Flat(("e1", "e2"), 2)) is None
+    M = Matroid(uniform(3, 4))
+    line = M.closure(["e1", "e2"])
+    assert is_ordinary(M, line) is not None
+    assert is_ordinary(M, Flat(line.elements, 3)) is None
 
 
 def test_is_elementary():
@@ -385,7 +390,7 @@ def test_conjecture2_k2_verify_pass():
 
 
 def test_conjecture1_k3_runs():
-    stream = conjecture_instances(1, 3, trials=5, seed=6, cols=(8, 10))
+    stream = trial_instances(5, 5, 6, 1, (8, 10))
     report = search_conjecture_counterexample(stream, 1, 3)
     # the conjecture is open; all we assert is a well-formed report
     assert report.outcome in ("witness found", "exhausted", "budget exceeded")
@@ -396,6 +401,9 @@ def test_under_rank_instance_rejected():
     # AG(2,3) has rank 3 = 3(k-1) for k=2, below the conjectured bound
     with pytest.raises(UsageError):
         search_conjecture_counterexample([(0, Matroid(ag23()))], 2, 2)
+    # an empty stream has no instance to vouch for a witness
+    with pytest.raises(UsageError):
+        search_conjecture_counterexample([], 1, 2)
 
 
 def test_report_serialization_shape():
