@@ -11,20 +11,21 @@ entry, so one product (`_Ring.times`, an element times a vector) serves
 both.  Every rank question is answered by one exact, fraction-free
 routine: `_echelon` builds an echelon basis of a span and `_reduce`
 reduces a vector against it.  A basis row is multiplied by
-adj(p), the product of the other Galois conjugates of its pivot p, so
-that the pivot becomes the rational integer N(p), and is stored with
-its zeta shifts, row times zeta^j.  Reducing v against it is
-v <- N(p) v - f row for f the entry of v at the pivot, at most phi
-whole-vector list comprehensions (one over Q).  Kept vectors are made
-primitive.  No field inverse is taken and nothing is divided except by
-an exact integer gcd.  A closure rejects a non-member column by an
-integer functional that vanishes on the span (`_annihilator`): a nonzero
-dot product with it proves the column is outside, and only a column
-with a zero dot product is settled by `_reduce`, so every answer stays
-exact.  Minors hold integer columns too: a restriction
-keeps a subset of the columns and their point keys, and contracting a
-flat projects its span out of the other columns.  Points (parallel
-classes) are read off a projective normal form of each column.
+adj(p), the product of the other Galois conjugates of its pivot p (at
+phi = 2 the one other one, in closed form), so that the pivot becomes
+the rational integer N(p), and is stored with its zeta shifts, row
+times zeta^j.  Reducing v against it is v <- N(p) v - f row for f the
+entry of v at the pivot, one whole-vector list comprehension at phi <= 2
+and at most phi of them in general.  Kept vectors are made primitive.
+No field inverse is taken and nothing is divided except by an exact
+integer gcd.  A closure rejects a non-member column by an integer
+functional that vanishes on the span (`_annihilator`): a nonzero dot
+product with it proves the column is outside, and only a column with a
+zero dot product is settled by `_reduce`, so every answer stays exact.
+Minors hold integer columns too: a restriction keeps a subset of the
+columns and their point keys, and contracting a flat projects its span
+out of the other columns.  Points (parallel classes) are read off a
+projective normal form of each column.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class _Ring:
     of one entry.  `times` (an element times a vector) is the only
     product, and `_times_zeta` the only reduction modulo the monic
     integer Phi_n, so nothing is divided.  `adj` maps an element through
-    the matrices of the Galois automorphisms, built once per ring.
+    the matrices of the Galois automorphisms, built once per ring; at
+    phi = 2 (n = 3, 4, 6) it and `times` are closed forms.
     """
 
     __slots__ = ("n", "phi", "low", "fold", "galois")
@@ -187,7 +189,9 @@ class _Ring:
     def adj(self, a) -> list:
         """The product of the Galois conjugates of the element a other
         than a itself, so that a * adj(a) is the rational integer N(a),
-        nonzero when a is."""
+        nonzero when a is.  At phi = 2 it is the one other conjugate."""
+        if self.phi == 2:  # the other conjugate of zeta is -c1 - zeta
+            return [a[0] - self.low[1] * a[1], -a[1]]
         # for n = 1 and 2 there is no other conjugate, and adj is 1
         out, *rest = [[sum(map(operator.mul, row, a)) for row in rows]
                       for rows in self.galois] or [[1]]
@@ -278,10 +282,10 @@ def _reduce(ring: _Ring, basis, vector) -> list:
     cleared, fraction-free: v <- N*v - f*row, f the entry of v at the
     row's pivot and N the pivot's value.  f*row is the sum of f_j times
     the stored shift zeta^j * row, so a step is one list comprehension
-    over Q and at most phi of them in general.  The result is a nonzero
-    integer multiple of the reduction over the field, so it is zero iff
-    `vector` lies in the span of the basis.  Callers that keep it take
-    its primitive part."""
+    over Q and at phi = 2, and at most phi of them in general.  The
+    result is a nonzero integer multiple of the reduction over the
+    field, so it is zero iff `vector` lies in the span of the basis.
+    Callers that keep it take its primitive part."""
     v = vector
     phi = ring.phi
     for at, value, shifts in basis:
@@ -290,6 +294,12 @@ def _reduce(ring: _Ring, basis, vector) -> list:
             if f:
                 v = [value * x - f * r for x, r in zip(v, shifts[0])]
             continue
+        if phi == 2:
+            f, g = v[at:at + 2]
+            if f or g:
+                s0, s1 = shifts
+                v = [value * x - f * r - g * q for x, r, q in zip(v, s0, s1)]
+            continue
         terms = [(f, s) for f, s in zip(v[at:at + phi], shifts) if f]
         if terms:
             (f, row), *rest = terms
@@ -297,12 +307,6 @@ def _reduce(ring: _Ring, basis, vector) -> list:
             for g, shift in rest:
                 v = [x - g * s for x, s in zip(v, shift)]
     return v
-
-
-def _basis_row(ring: _Ring, row, at: int):
-    """The basis triple (at, N, shifts) of a normalized row whose pivot
-    entry starts at offset `at` and is (N, 0, ..., 0)."""
-    return at, row[at], ring.shifts(row)
 
 
 def _echelon(ring: _Ring, vectors) -> list:
@@ -324,7 +328,8 @@ def _echelon(ring: _Ring, vectors) -> list:
         at = _pivot(ring, v)
         if at is None:
             continue
-        basis.append(_basis_row(ring, _normalized(ring, v, at), at))
+        row = _normalized(ring, v, at)
+        basis.append((at, row[at], ring.shifts(row)))
         if len(basis) * phi == len(v):
             break
     return basis
@@ -601,17 +606,16 @@ class Matroid:
         cap = len(ground) + k if max_size is None else max_size
 
         # At the flat C (ground positions, sorted) every element i outside
-        # C carries residues[i], its column reduced against an echelon
-        # basis of C, and keys[i], the point key of that residue, so equal
-        # keys are the points of M/C.  One row extends the basis: the key
-        # of the point taken, already a normalized residue.  A residue
-        # that is zero at its pivot entry is left unchanged by the step,
-        # and keeps its key.
-        def walk(flat, rank, last, residues, keys):
+        # C carries keys[i], the point key of its column reduced against an
+        # echelon basis of C, so equal keys are the points of M/C.  A key is
+        # a nonzero multiple of that residue, and reduces to a multiple of
+        # the next one, which has the same key.  The row taken is the point's
+        # key; a key zero at its pivot entry is left unchanged.
+        def walk(flat, rank, last, keys):
             points = {}
             for i, key in keys.items():
                 points.setdefault(key, []).append(i)
-            for point in points.values():
+            for row, point in points.items():
                 first = point[0]
                 if (first <= last
                         or len(flat) + len(point) + (k - rank - 1) > cap):
@@ -624,25 +628,16 @@ class Matroid:
                     yield Flat(tuple(ground[i] for i in cover), k)
                     continue
                 meter.echelons += 1
-                row = keys[first]
                 at = _pivot(ring, row)
-                step = [_basis_row(ring, row, at)]
+                step = [(at, row[at], ring.shifts(row))]
                 end = at + ring.phi
                 inside = set(point)
-                down, down_keys = {}, {}
-                for i, v in residues.items():
-                    if i in inside:
-                        continue
-                    if any(v[at:end]):
-                        v = _primitive(_reduce(ring, step, v))
-                        down_keys[i] = _point_key(ring, v)
-                    else:
-                        down_keys[i] = keys[i]
-                    down[i] = v
-                yield from walk(cover, rank + 1, first, down, down_keys)
+                down = {i: _point_key(ring, _reduce(ring, step, key))
+                        if any(key[at:end]) else key
+                        for i, key in keys.items() if i not in inside}
+                yield from walk(cover, rank + 1, first, down)
 
         return walk((), 0, -1,
-                    {i: self._columns[e] for i, e in enumerate(ground)},
                     {i: self._points[e] for i, e in enumerate(ground)})
 
     # -- materialization ---------------------------------------------------

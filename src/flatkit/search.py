@@ -218,7 +218,10 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
     rank-4(k-2) flat, contracts a two-point line, recurses at k-1, and
     reassembles an ordinary flat from the lifted witness.  `budget`
     bounds the flats formed by all the levels together: every level works
-    on a minor of M, which counts them in M's `flats_formed`.
+    on a minor of M, which counts them in M's `flats_formed`.  Earlier
+    results of this kind, at larger rank, came from rank bounds for design
+    matrices (Barak, Dvir, Wigderson and Yehudayoff 2011; Dvir, Saraf and
+    Wigderson 2014).
     """
     if not M.is_simple():
         raise UsageError("constructive search requires a simple matroid")
@@ -355,7 +358,9 @@ def find_elementary_flat(M: Matroid, k: int,
     With rank at least 4^(k-1) the constructive route always succeeds:
     find an ordinary rank-(4^(k-2)+1) flat, recurse into its rank-4^(k-2)
     complement, and extend the elementary flat found there by the point.
-    Below that rank, fall back to brute enumeration of the slice.
+    Below that rank, fall back to brute enumeration of the slice.  The
+    design-matrix bounds of Barak, Dvir, Wigderson and Yehudayoff (2011)
+    and Dvir, Saraf and Wigderson (2014) give such flats at larger rank.
     """
     if not M.is_simple():
         raise UsageError("find_elementary_flat requires a simple matroid")

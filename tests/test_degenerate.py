@@ -402,9 +402,10 @@ def test_ordinary_check_matches_restriction_on_catalog(ref):
 # The reference below is the elimination over the field Q(zeta_n): every
 # pivot and every point key is normalized by a field inverse.  Phi_12 =
 # x^4 - x^2 + 1 and Phi_15 fold products in ways the benchmark's
-# conductors 1, 3 and 4 never do.
+# conductors 1, 3 and 4 never do, and Phi_6 = x^2 - x + 1 is the one
+# phi = 2 ring whose closed forms carry c1 = -1.
 
-KERNEL_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
+KERNEL_CONDUCTORS = (1, 3, 4, 5, 6, 8, 12, 15, 24)
 
 
 def _poly_add(a, b):
@@ -567,6 +568,60 @@ def test_adj_times_element_is_its_norm(n):
         assert N != 0 and N.denominator == 1
         assert norm == CyclotomicNumber(n, [N])
         assert ring.times(a, ring.adj(a)) == [N] + [0] * (phi - 1)
+
+
+def galois_adj(ring, a):
+    """adj(a) as the product of a's images under every automorphism in
+    the ring's Galois table, the general route."""
+    out = [1] + [0] * (ring.phi - 1)
+    for rows in ring.galois:
+        out = ring.times([sum(c * x for c, x in zip(row, a)) for row in rows],
+                         out)
+    return out
+
+
+def two_pass_step(at, value, shifts, v):
+    """One reduction step as the general code takes it: N*v - f*row for
+    the first nonzero pivot coordinate f, then minus g times the shift of
+    every further nonzero one; v itself when the pivot entry is zero."""
+    terms = [(f, s) for f, s in zip(v[at:at + len(shifts)], shifts) if f]
+    if not terms:
+        return list(v)
+    (f, row), *rest = terms
+    v = [value * x - f * r for x, r in zip(v, row)]
+    for g, shift in rest:
+        v = [x - g * s for x, s in zip(v, shift)]
+    return v
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_phi2_closed_forms_match_the_general_route(n):
+    """At phi = 2 `adj` is the one other conjugate in closed form and a
+    `_reduce` step is one pass; both give the integers of the general
+    route, on coefficients up to 2^80 in size and on pivot entries with
+    a zero coordinate."""
+    ring, rng, big = _ring(n), random.Random(n), 2 ** 80
+    assert ring.phi == 2
+
+    def element():
+        a = [rng.choice((0, 1, -big, big, rng.randint(-big, big)))
+             for _ in range(2)]
+        return a if any(a) else [1, 0]
+
+    for _ in range(40):
+        a = element()
+        assert ring.adj(a) == galois_adj(ring, a)
+        d = rng.randint(1, 4)
+        at = 2 * rng.randrange(d)
+        raw = [c for _ in range(d) for c in element()]
+        row = matroid._normalized(ring, raw, at)
+        assert row[at] != 0 and row[at + 1] == 0
+        step = (at, row[at], ring.shifts(row))
+        v = [c for _ in range(d) for c in element()]
+        f, g = v[at:at + 2]
+        for lead in ([f, g], [0, g], [f, 0], [0, 0]):
+            v[at:at + 2] = lead
+            assert matroid._reduce(ring, [step], v) == two_pass_step(*step, v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -302,6 +302,21 @@ def test_base_flat_is_the_greedy_prefix_closure(M, k):
     assert top.contracted_flat == greedy_prefix_closure(fresh, 4 * (k - 2))
 
 
+@pytest.mark.parametrize("conductor, k", [(1, k) for k in range(4, 9)]
+                         + [(3, k) for k in range(4, 7)])
+def test_constructive_flat_count_is_quadratic_in_k(conductor, k):
+    """A main-theorem trial, drawn as `verify` draws it at rank 4(k-1),
+    forms exactly sum_{j=3..k} (j-1) flats: the F' scan at level j
+    reaches its first rank-(j-1) flat with no backtracking, one flat per
+    rank.  That is 5, 14 and 27 at k = 4, 6 and 8; over Q(zeta_3) the
+    scans walk at phi = 2."""
+    rank = 4 * (k - 1)
+    _, M = next(trial_instances(rank, 1, 0, conductor, (rank + 4, rank + 6)))
+    formed = M.flats_formed
+    find_ordinary_flat_constructive(M, k)
+    assert M.flats_formed - formed == sum(j - 1 for j in range(3, k + 1))
+
+
 # -- elementary flats --------------------------------------------------------
 
 def test_elementary_two_lines_cross_pair():
