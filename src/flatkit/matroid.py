@@ -11,21 +11,20 @@ entry, so one product (`_Ring.times`, an element times a vector) serves
 both.  Every rank question is answered by one exact, fraction-free
 routine: `_echelon` builds an echelon basis of a span and `_reduce`
 reduces a vector against it.  A basis row is multiplied by
-adj(p), the product of the other Galois conjugates of its pivot p (at
-phi = 2 the one other one, in closed form), so that the pivot becomes
-the rational integer N(p), and is stored with its zeta shifts, row
-times zeta^j.  Reducing v against it is v <- N(p) v - f row for f the
-entry of v at the pivot, one whole-vector list comprehension at phi <= 2
-and at most phi of them in general.  Kept vectors are made primitive.
-No field inverse is taken and nothing is divided except by an exact
-integer gcd.  A closure rejects a non-member column by an integer
-functional that vanishes on the span (`_annihilator`): a nonzero dot
-product with it proves the column is outside, and only a column with a
-zero dot product is settled by `_reduce`, so every answer stays exact.
-Minors hold integer columns too: a restriction keeps a subset of the
-columns and their point keys, and contracting a flat projects its span
-out of the other columns.  Points (parallel classes) are read off a
-projective normal form of each column.
+adj(p), the product of the other Galois conjugates of its pivot p, so
+that the pivot becomes the rational integer N(p), and is stored with
+its zeta shifts, row times zeta^j.  Reducing v against it is
+v <- N(p) v - f row for f the entry of v at the pivot, one whole-vector
+list comprehension at phi <= 2, at most phi in general.  Kept vectors
+are made primitive.  No field inverse is taken and nothing is divided
+except by an exact integer gcd.  A closure rejects a non-member column
+by an integer functional that vanishes on the span (`_annihilator`): a
+nonzero dot product with it proves the column is outside, and only a
+column with a zero dot product is settled by `_reduce`, so every answer
+stays exact.  Minors hold integer columns too: a restriction
+keeps a subset of the columns and their point keys, and contracting a
+flat projects its span out of the other columns.  Points (parallel
+classes) are read off a projective normal form of each column.
 """
 
 from __future__ import annotations
@@ -164,8 +163,7 @@ class _Ring:
     of one entry.  `times` (an element times a vector) is the only
     product, and `_times_zeta` the only reduction modulo the monic
     integer Phi_n, so nothing is divided.  `adj` maps an element through
-    the matrices of the Galois automorphisms, built once per ring; at
-    phi = 2 (n = 3, 4, 6) it and `times` are closed forms.
+    the Galois matrices, built once per ring, or at phi = 2 a closed form.
     """
 
     __slots__ = ("n", "phi", "low", "fold", "galois")
@@ -297,8 +295,7 @@ def _reduce(ring: _Ring, basis, vector) -> list:
         if phi == 2:
             f, g = v[at:at + 2]
             if f or g:
-                s0, s1 = shifts
-                v = [value * x - f * r - g * q for x, r, q in zip(v, s0, s1)]
+                v = [value * x - f * r - g * q for x, r, q in zip(v, *shifts)]
             continue
         terms = [(f, s) for f, s in zip(v[at:at + phi], shifts) if f]
         if terms:
@@ -606,14 +603,14 @@ class Matroid:
         cap = len(ground) + k if max_size is None else max_size
 
         # At the flat C (ground positions, sorted) every element i outside
-        # C carries keys[i], the point key of its column reduced against an
-        # echelon basis of C, so equal keys are the points of M/C.  A key is
-        # a nonzero multiple of that residue, and reduces to a multiple of
-        # the next one, which has the same key.  The row taken is the point's
-        # key; a key zero at its pivot entry is left unchanged.
-        def walk(flat, rank, last, keys):
+        # C carries its column reduced against an echelon basis of C, made
+        # primitive, and the point key of that residue: equal keys are the
+        # points of M/C.  The point taken extends the basis by its key.  A
+        # residue zero at the step's pivot entry keeps its key.  Residues
+        # are reduced, not keys: a key is one times phi - 1 conjugates.
+        def walk(flat, rank, last, carried):
             points = {}
-            for i, key in keys.items():
+            for i, (_, key) in carried.items():
                 points.setdefault(key, []).append(i)
             for row, point in points.items():
                 first = point[0]
@@ -632,13 +629,17 @@ class Matroid:
                 step = [(at, row[at], ring.shifts(row))]
                 end = at + ring.phi
                 inside = set(point)
-                down = {i: _point_key(ring, _reduce(ring, step, key))
-                        if any(key[at:end]) else key
-                        for i, key in keys.items() if i not in inside}
+                down = {}
+                for i, (v, key) in carried.items():
+                    if i not in inside:
+                        if any(v[at:end]):
+                            v = _primitive(_reduce(ring, step, v))
+                            key = _point_key(ring, v)
+                        down[i] = v, key
                 yield from walk(cover, rank + 1, first, down)
 
-        return walk((), 0, -1,
-                    {i: self._points[e] for i, e in enumerate(ground)})
+        return walk((), 0, -1, {i: (self._columns[e], self._points[e])
+                                for i, e in enumerate(ground)})
 
     # -- materialization ---------------------------------------------------
 

@@ -218,10 +218,9 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
     rank-4(k-2) flat, contracts a two-point line, recurses at k-1, and
     reassembles an ordinary flat from the lifted witness.  `budget`
     bounds the flats formed by all the levels together: every level works
-    on a minor of M, which counts them in M's `flats_formed`.  Earlier
-    results of this kind, at larger rank, came from rank bounds for design
-    matrices (Barak, Dvir, Wigderson and Yehudayoff 2011; Dvir, Saraf and
-    Wigderson 2014).
+    on a minor of M, which counts them in M's `flats_formed`.  Rank bounds
+    for design matrices gave such flats at larger rank (Barak, Dvir,
+    Wigderson and Yehudayoff 2011; Dvir, Saraf and Wigderson 2014).
     """
     if not M.is_simple():
         raise UsageError("constructive search requires a simple matroid")
