@@ -121,15 +121,37 @@ def _draw_columns(rng, d, m, conductor, bound):
     """One draw of a d x m matrix as the integer columns `Matroid` makes.
     Entries are drawn row by row, as phi(n) coordinates each, and every
     coordinate is rng.randint(-bound, bound) / rng.randint(1, bound) in
-    lowest terms."""
+    lowest terms.  The two draws are made as randint makes them, from
+    getrandbits: a draw below w takes w.bit_length() bits and is redrawn
+    while it is w or more.  So the draws and the generator's state after
+    them are randint's, at a fraction of its call overhead."""
     phi = euler_phi(conductor)
-    draws = [(rng.randint(-bound, bound), rng.randint(1, bound))
-             for _ in range(d * m * phi)]
-    coords = [(a // g, b // g) for a, b in draws for g in [gcd(a, b)]]
+    bits = rng.getrandbits
+    span = 2 * bound + 1
+    wide, narrow = span.bit_length(), bound.bit_length()
+    coords = []
+    for _ in range(d * m * phi):
+        a = bits(wide)
+        while a >= span:
+            a = bits(wide)
+        b = bits(narrow)
+        while b >= bound:
+            b = bits(narrow)
+        a, b = a - bound, b + 1
+        g = gcd(a, b)
+        coords.append((a // g, b // g))
     return [_integer_column([c for i in range(d)
                              for c in coords[(i * m + j) * phi:
                                              (i * m + j + 1) * phi]])
             for j in range(m)]
+
+
+# Most columns a trial instance may have.  The paper-scale trials draw
+# 68-70 columns (main-theorem k=17 and corollary k=4, both of rank 64)
+# and take 10-11 s each over Q, against 0.85 s at rank 44 (main-theorem
+# k=12): the work grows about as the fourth power of the rank, which the
+# column count bounds (2-vCPU VM, Python 3.11).
+MAX_TRIAL_COLUMNS = 72
 
 
 def trial_instances(rank: int, trials: int, seed: int, conductor: int,
@@ -140,8 +162,12 @@ def trial_instances(rank: int, trials: int, seed: int, conductor: int,
     matroid of random_instance(rank, m, conductor, seed=s), with
     m = lo + Random(s).randint(0, hi - lo) for cols = (lo, hi); lo = hi
     fixes the column count.  The matroid is the one the generator
-    accepted."""
+    accepted.  A stream whose instances could have more than
+    MAX_TRIAL_COLUMNS columns is refused before any draw."""
     lo, hi = cols
+    if hi > MAX_TRIAL_COLUMNS:
+        raise UsageError(f"rank-{rank} trials would draw up to {hi} columns; "
+                         f"a trial has at most {MAX_TRIAL_COLUMNS} columns")
     for i in range(trials):
         s = seed * 1000003 + i
         m = lo + random.Random(s).randint(0, hi - lo)
@@ -178,7 +204,7 @@ ENTRIES = {
          "some plane is a point plus a line")),
     "ag23_power": CatalogEntry(
         "ag23_power", "t", ag23_power, lambda t: 9 * t,
-        ("rank 3t", "no elementary rank-(t+1) flat at t in {1,2}")),
+        ("rank 3t", "no elementary rank-(t+1) flat at t in {1,2,3,4}")),
     "uniform_power": CatalogEntry(
         "uniform_power", "r,n,t", uniform_power, lambda r, n, t: n * t,
         ("rank r*t", "block sum of uniform matroids")),

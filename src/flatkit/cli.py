@@ -227,6 +227,11 @@ def cmd_verify(args) -> int:
     if k < SUITE_MIN_K[args.suite]:
         raise UsageError(
             f"{args.suite} suite needs k >= {SUITE_MIN_K[args.suite]}")
+    if k > cat.MAX_TRIAL_COLUMNS:
+        # every suite's instances have more than k columns; refused
+        # before 4^(k-1) is computed
+        raise UsageError(f"{args.suite} suite at k={k} would draw more than "
+                         f"{cat.MAX_TRIAL_COLUMNS} columns")
     rank = SUITE_RANK[args.suite](k)
     cols = (args.cols, args.cols) if args.cols else (rank + 4, rank + 6)
     reports = []

@@ -586,9 +586,26 @@ class Matroid:
         with len(C) + len(P) + (k - r - 1) > max_size: no rank-k flat
         that small lies beyond it.
 
+        With max_size = k every flat on a chain that can still end in a
+        rank-k flat has as many elements as its rank: it is free
+        (independent and closed), and so is each of its subsets.  In
+        particular any two elements of such a flat form a two-point line,
+        and each element e outside C of it is a single-element point {e}
+        of M/C.  So at a rank-r flat C, r >= 1 and r + 1 < k, the walk
+        goes down into C + b, b a single-element point of M/C, only if at
+        least k - r - 1 elements e after b are single-element points of
+        M/C and partners of b ({b, e} is a flat): each chain through C + b
+        adds such elements.  The partners of b are the single-element
+        points of M/{b}, found once per walk from the elements' own
+        columns.  This pair test starts only once the walk has gone down
+        into a flat and found nothing below it, so a walk whose first
+        chain ends in a rank-k flat does no work for it.
+
         `budget` bounds the number of flats the walk forms, at ranks 1..k;
-        each one is counted in `flats_formed`, and a skipped point forms
-        none; the iterator raises when it would form one more.
+        each one is counted in `flats_formed`, a cover the pair test
+        rejects included, and a skipped point forms none; the iterator
+        raises when it would form one more.  `rank_calls` counts a step
+        down into a flat and a partner search as one echelon each.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
@@ -601,6 +618,12 @@ class Matroid:
         # without a bound, a cap no chain reaches: no flat has more than
         # len(ground) elements
         cap = len(ground) + k if max_size is None else max_size
+        free = max_size == k
+        root = {i: (self._columns[e], self._points[e])
+                for i, e in enumerate(ground)}
+        partners = {}
+        hits = 0
+        barren = False  # a frame the walk went down into has yielded nothing
 
         # At the flat C (ground positions, sorted) every element i outside
         # C carries its column reduced against an echelon basis of C, made
@@ -608,10 +631,41 @@ class Matroid:
         # points of M/C.  The point taken extends the basis by its key.  A
         # residue zero at the step's pivot entry keeps its key.  Residues
         # are reduced, not keys: a key is one times phi - 1 conjugates.
-        def walk(flat, rank, last, carried):
+        def points_of(carried):
             points = {}
             for i, (_, key) in carried.items():
                 points.setdefault(key, []).append(i)
+            return points
+
+        def descend(carried, row, inside):
+            meter.echelons += 1
+            at = _pivot(ring, row)
+            step = [(at, row[at], ring.shifts(row))]
+            end = at + ring.phi
+            down = {}
+            for i, (v, key) in carried.items():
+                if i not in inside:
+                    if any(v[at:end]):
+                        v = _primitive(_reduce(ring, step, v))
+                        key = _point_key(ring, v)
+                    down[i] = v, key
+            return down
+
+        def singles(points):
+            return {point[0] for point in points.values() if len(point) == 1}
+
+        def mates(b):
+            # b is a single-element point of M/C, so {b} is its own point
+            # of M
+            if b not in partners:
+                partners[b] = singles(points_of(
+                    descend(root, root[b][1], (b,))))
+            return partners[b]
+
+        def walk(flat, rank, last, carried):
+            nonlocal hits, barren
+            points = points_of(carried)
+            single = None
             for row, point in points.items():
                 first = point[0]
                 if (first <= last
@@ -622,24 +676,21 @@ class Matroid:
                     raise BudgetExceededError(f"flat budget {budget} exceeded")
                 cover = tuple(sorted(flat + tuple(point)))
                 if rank + 1 == k:
+                    hits += 1
                     yield Flat(tuple(ground[i] for i in cover), k)
                     continue
-                meter.echelons += 1
-                at = _pivot(ring, row)
-                step = [(at, row[at], ring.shifts(row))]
-                end = at + ring.phi
-                inside = set(point)
-                down = {}
-                for i, (v, key) in carried.items():
-                    if i not in inside:
-                        if any(v[at:end]):
-                            v = _primitive(_reduce(ring, step, v))
-                            key = _point_key(ring, v)
-                        down[i] = v, key
-                yield from walk(cover, rank + 1, first, down)
+                if barren and rank:
+                    if single is None:
+                        single = singles(points)
+                    if sum(e > first and e in single
+                           for e in mates(first)) < k - rank - 1:
+                        continue
+                before = hits
+                yield from walk(cover, rank + 1, first,
+                                descend(carried, row, set(point)))
+                barren = barren or (free and hits == before)
 
-        return walk((), 0, -1, {i: (self._columns[e], self._points[e])
-                                for i, e in enumerate(ground)})
+        return walk((), 0, -1, root)
 
     # -- materialization ---------------------------------------------------
 

@@ -369,6 +369,8 @@ def find_elementary_flat(M: Matroid, k: int,
         if not M.ground:
             return None
         return M.closure([M.ground[0]])
+    if k > M.rank():
+        return None
     if M.rank() >= 4 ** (k - 1):
         witness, _ = find_ordinary_flat_constructive(
             M, 4 ** (k - 2) + 1, budget=budget)
@@ -382,8 +384,6 @@ def find_elementary_flat(M: Matroid, k: int,
         _require(is_elementary(M, out),
                  "extended candidate is not elementary")
         return out
-    if k > M.rank():
-        return None
     return find_elementary_flat_brute(M, k, budget=budget)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,7 +21,12 @@ from flatkit.catalog import (
 )
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import GenerationError, UsageError
-from flatkit.matroid import Matroid, Representation, representation_from_rows
+from flatkit.matroid import (
+    Matroid,
+    Representation,
+    _integer_column,
+    representation_from_rows,
+)
 from flatkit.search import find_elementary_flat, find_two_point_line, is_ordinary
 
 
@@ -77,7 +83,16 @@ def test_ag23_power():
         rep.conductor, rep.rows, rep.labels, rep.columns)
     M = Matroid(ag23_power(2))
     assert M.rank() == 6 and len(M.ground) == 18
-    assert find_elementary_flat(M, 3) is None
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_ag23_power_has_no_elementary_flat_one_rank_up(t):
+    """The certified fact: rank 3t and no elementary rank-(t+1) flat."""
+    assert ENTRIES["ag23_power"].certified_facts == (
+        "rank 3t", "no elementary rank-(t+1) flat at t in {1,2,3,4}")
+    M = Matroid(ag23_power(t))
+    assert M.rank() == 3 * t and len(M.ground) == 9 * t
+    assert find_elementary_flat(M, t + 1) is None
 
 
 def test_random_instance_deterministic():
@@ -143,6 +158,50 @@ def test_trial_instances_are_the_matroids_of_random_instance(conductor):
         rep = random_instance(4, m, conductor, seed=s)
         assert rep == fraction_instance(4, m, conductor, s)
         assert_matroid_of(M, rep)
+
+
+def randint_columns(rng, d, m, conductor, bound):
+    """_draw_columns as randint draws: every coordinate
+    randint(-bound, bound) / randint(1, bound), row by row."""
+    phi = euler_phi(conductor)
+    draws = [(rng.randint(-bound, bound), rng.randint(1, bound))
+             for _ in range(d * m * phi)]
+    coords = [(a // g, b // g) for a, b in draws for g in [gcd(a, b)]]
+    return [_integer_column([c for i in range(d)
+                             for c in coords[(i * m + j) * phi:
+                                             (i * m + j + 1) * phi]])
+            for j in range(m)]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10, 16, 17])
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_draws_are_randints(conductor, bound):
+    """_draw_columns makes randint's draws and leaves the generator where
+    randint leaves it: the next random() agrees too."""
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (catalog._draw_columns(ours, 2, 3, conductor, bound)
+                == randint_columns(theirs, 2, 3, conductor, bound))
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("cols, admitted", [
+    ((68, 70), True), ((72, 72), True), ((68, 73), False)])
+def test_trial_stream_column_limit(monkeypatch, cols, admitted):
+    """The paper-scale trials (rank 64, 68-70 columns) are admitted; a
+    stream that could draw more than MAX_TRIAL_COLUMNS is refused before
+    its first draw."""
+    assert catalog.MAX_TRIAL_COLUMNS == 72
+    monkeypatch.setattr(catalog, "_random_matroid", lambda *args: args)
+    stream = trial_instances(64, 2, 0, 1, cols)
+    if admitted:
+        drawn = [args for _, args in stream]
+        assert len(drawn) == 2
+        assert all(rank == 64 and cols[0] <= m <= cols[1]
+                   for rank, m, *_ in drawn)
+    else:
+        with pytest.raises(UsageError, match="at most 72 columns"):
+            next(stream)
 
 
 def test_random_instance_param_checks():

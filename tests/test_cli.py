@@ -449,11 +449,15 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
      {"flats_enumerated": 75}),
     (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
      {"rank_calls": 19, "flats_enumerated": 2}),
-], ids=["search-c1-k3", "main-theorem-k3"])
+    (["search", "--conjecture", "2", "--k", "3", "--trials", "10"],
+     {"rank_calls": 20, "flats_enumerated": 30}),
+], ids=["search-c1-k3", "main-theorem-k3", "search-c2-k3"])
 def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     """Each scan stops at its first hit: conjecture 1 forms one chain of
-    three flats per instance (2,269 flats with whole slices), and a
-    main-theorem trial builds 19 echelon bases."""
+    three flats per instance (2,269 flats with whole slices), a
+    main-theorem trial builds 19 echelon bases, and conjecture 2 goes
+    down one chain per instance, two echelons and three flats, with no
+    partner search: its walks never meet a frame that yields nothing."""
     code, out, _ = run(capsys, *argv, "--seed", "0", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -568,6 +572,35 @@ def test_random_ref_cannot_set_the_draw_limit(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert err.startswith("error: bad parameters for 'random'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "corollary", "--k", "7"],
+    ["verify", "--suite", "corollary", "--k", "30"],
+    ["verify", "--suite", "corollary", "--k", "10000000000"],
+    ["verify", "--suite", "main-theorem", "--k", "1000000"],
+    ["verify", "--suite", "kelly", "--cols", "100000"],
+    ["search", "--conjecture", "2", "--k", "1000000", "--trials", "1"],
+    ["search", "--conjecture", "1", "--k", "100000000", "--trials", "1"],
+])
+def test_trials_above_max_columns_exit_3(capsys, monkeypatch, tmp_path,
+                                         argv):
+    """A stream whose instances would have more than MAX_TRIAL_COLUMNS
+    columns is refused before anything is drawn; corollary k=7 has rank
+    4,096, and corollary k=10^10 would have rank 4^(10^10 - 1)."""
+    monkeypatch.setattr(cli.cat, "_draw_columns", None)  # nothing drawn
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "72 columns" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_find_elementary_above_the_rank_is_exhausted(capsys):
+    """k above the rank has no flat, and 4^(k-1) is never computed."""
+    code, out, err = run(capsys, "find-elementary", "ag23", "--k",
+                         "10000000000")
+    assert (code, out, err) == (1, "exhausted\n", "")
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

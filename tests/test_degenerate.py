@@ -36,7 +36,9 @@ from flatkit.matroid import (
     Matroid,
     _annihilator,
     _ring,
+    direct_sum,
     parse_matrix,
+    prefix_labels,
     representation_from_rows,
     write_matrix,
 )
@@ -325,6 +327,45 @@ def test_bounded_walk_is_the_walk_cut_by_size_on_catalog(ref, top):
     """Every rank up to `top`: ag23_power:3 has rank 9, and its full walk
     to rank 9 forms about 12,000 flats for each bound."""
     assert_bounded_walk(Matroid(build_ref(ref)), range(top + 1))
+
+
+def assert_free_walk(M, ranks):
+    """flats_of_rank(k, max_size=k), the walk with the pair test, is the
+    whole walk cut to its flats with k elements, order included."""
+    for k in ranks:
+        assert list(M.flats_of_rank(k, max_size=k)) == [
+            fl for fl in M.flats_of_rank(k) if len(fl) == k]
+
+
+def loopless(rep):
+    M = Matroid(rep)
+    return M.restrict([e for e in M.ground if e not in M.loops()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_free_walk_is_the_walk_cut_to_free_flats(case):
+    M = loopless(case[0])
+    assert_free_walk(M, range(M.rank() + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 4]).flatmap(
+    lambda n: st.tuples(degenerate((n,)), degenerate((n,)))))
+def test_free_walk_is_the_walk_cut_to_free_flats_on_sums(cases):
+    """A direct sum has free flats across its parts and dependent ones
+    inside them, so its walks meet barren frames and run the pair test."""
+    (a, _), (b, _) = cases
+    M = loopless(direct_sum(prefix_labels(a, "a."), prefix_labels(b, "b.")))
+    assert_free_walk(M, range(M.rank() + 1))
+
+
+@pytest.mark.parametrize("ref, top", [
+    ("ag23_power:2", 6), ("ag23_power:3", 4), ("motzkin", 4),
+    ("uniform_power:2,3,3", 6), ("random:4,9,1,0", 4), ("random:5,8,3,2", 5),
+    ("random:4,8,4,5", 4)])
+def test_free_walk_is_the_walk_cut_to_free_flats_on_catalog(ref, top):
+    assert_free_walk(Matroid(build_ref(ref)), range(top + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ GOLDEN = {
         (0, "cb3d3b0ba205433ac04a459ad7543b813302f7c3e077d73c0ebfa3063e6b6ecd"),
     "find-elementary ag23_power:2 --k 3":
         (1, "04c98ee6b146a63c2a407c81b7f8b76e38806c4024b79e622327fe902ba2b4fe"),
+    "find-elementary ag23_power:3 --k 3":
+        (0, "ba71dff853dfa1282d6566b193dcdee283cf3f85076e74d5b8ac6850ad0632f3"),
+    "find-elementary ag23_power:3 --k 4":
+        (1, "f2263fc7294747c816b7b81bb706e21b031d78ccc588c4eb6e80871aec49a481"),
     "find-ordinary ag23_power:2 --k 2":
         (0, "7c0ea0b380d298f3508c06aa2784651ac037564ee50f59fcb5c7dd72542efe93"),
     "find-ordinary ag23_power:2 --k 3":
@@ -56,6 +60,8 @@ GOLDEN = {
         (0, "09506bcd21680b069a268dc449696c5fb5ecf4c1fcbc95aa79c48ddd3e1d5c46"),
     "search --conjecture 2 --k 2 --trials 25 --seed 0":
         (0, "91b6f97c489326dfd46447b5c5f0e605453a1ab434baa5fd3745ad43e636e249"),
+    "search --conjecture 2 --k 3 --trials 10 --seed 0 --conductor 3":
+        (0, "bdbaab708bbf734d93cb4183bd6b64f86d373aa36eca5b3ba21007e8e1cc62d8"),
     "verify --suite corollary --k 2 --trials 5 --seed 0":
         (0, "c7b9d39c0cc5af0f13ea5544cb90d5cc7764b194959fd3f2cc77dba0c25f2295"),
     "verify --suite kelly --trials 10 --seed 0 --conductor 3":

@@ -334,15 +334,21 @@ def test_ag23_power_has_no_elementary_flat(k):
     assert find_elementary_flat(M, k) is None
 
 
-@pytest.mark.parametrize("t, k, formed", [(2, 3, 99), (3, 4, 999)])
-def test_elementary_scan_forms_only_single_element_chains(t, k, formed):
+@pytest.mark.parametrize("t, k, formed, echelons", [
+    (2, 3, 99, 29), (3, 4, 999, 128), (4, 5, 9999, 1037)])
+def test_elementary_scan_forms_only_single_element_chains(t, k, formed,
+                                                          echelons):
     """A rank-k flat with k elements ends a chain of single-element
     points, so the scan of a sum of t copies of AG(2,3) forms its 9t
-    points, its two-point lines and, at k = 4, its three-point planes:
-    99 and 999 flats, against 341 and 5,088 in the whole walk."""
+    points, its two-point lines and, from k = 4, its free planes and
+    rank-4 flats: 99, 999 and 9,999 flats, against 341 and 5,088 in the
+    whole walk at k = 3 and 4.  The pair test goes down into few of
+    them: at k = 3 the root, the 9t points, the first cross line, whose
+    covers all have four elements, and one partner search for each point
+    of the second copy are the 29 echelons, against 100 without it."""
     M = Matroid(ag23_power(t))
     assert find_elementary_flat_brute(M, k) is None
-    assert M.flats_formed == formed
+    assert (M.flats_formed, M.rank_calls) == (formed, echelons)
 
 
 def test_elementary_rank4_random():
