@@ -651,8 +651,12 @@ class Matroid:
                     down[i] = v, key
             return down
 
+        # a set of ground positions as the bits of an int: a walk holds up
+        # to one partner set per element, a few bytes each where a set of
+        # nine takes 0.7 KB, and a bit count counts the members after b
         def singles(points):
-            return {point[0] for point in points.values() if len(point) == 1}
+            return sum(1 << point[0] for point in points.values()
+                       if len(point) == 1)
 
         def mates(b):
             # b is a single-element point of M/C, so {b} is its own point
@@ -682,8 +686,8 @@ class Matroid:
                 if barren and rank:
                     if single is None:
                         single = singles(points)
-                    if sum(e > first and e in single
-                           for e in mates(first)) < k - rank - 1:
+                    if (((single & mates(first)) >> first + 1).bit_count()
+                            < k - rank - 1):
                         continue
                 before = hits
                 yield from walk(cover, rank + 1, first,
