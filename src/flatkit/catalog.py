@@ -146,11 +146,11 @@ def _draw_columns(rng, d, m, conductor, bound):
             for j in range(m)]
 
 
-# Most columns a trial instance may have.  The paper-scale trials draw
-# 68-70 columns (main-theorem k=17 and corollary k=4, both of rank 64)
-# and take 10-11 s each over Q, against 0.85 s at rank 44 (main-theorem
-# k=12): the work grows about as the fourth power of the rank, which the
-# column count bounds (2-vCPU VM, Python 3.11).
+# Most columns a trial instance may have; the column count bounds the
+# rank.  The paper-scale trials draw 68-70 columns (main-theorem k=17 and
+# corollary k=4, both of rank 64) and take 10-11 s each over Q, against
+# 0.85 s at rank 44 (main-theorem k=12), so the time grows steeply with
+# the rank (2-vCPU VM, Python 3.11).
 MAX_TRIAL_COLUMNS = 72
 
 

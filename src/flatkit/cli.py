@@ -228,8 +228,8 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"{args.suite} suite needs k >= {SUITE_MIN_K[args.suite]}")
     if k > cat.MAX_TRIAL_COLUMNS:
-        # every suite's instances have more than k columns; refused
-        # before 4^(k-1) is computed
+        # a suite's rank at k is at least k, and no trial has fewer
+        # columns than its rank; refused before 4^(k-1) is computed
         raise UsageError(f"{args.suite} suite at k={k} would draw more than "
                          f"{cat.MAX_TRIAL_COLUMNS} columns")
     rank = SUITE_RANK[args.suite](k)
