@@ -335,7 +335,8 @@ def test_ag23_power_has_no_elementary_flat(k):
 
 
 @pytest.mark.parametrize("t, k, formed, echelons", [
-    (2, 3, 99, 29), (3, 4, 999, 128), (4, 5, 9999, 1037)])
+    (2, 3, 99, 29), (3, 4, 999, 128), (4, 5, 9999, 1037)],
+    ids=["2-3-99", "3-4-999", "4-5-9999"])
 def test_elementary_scan_forms_only_single_element_chains(t, k, formed,
                                                           echelons):
     """A rank-k flat with k elements ends a chain of single-element
