@@ -148,9 +148,9 @@ def _draw_columns(rng, d, m, conductor, bound):
 
 # Most columns a trial instance may have; the column count bounds the
 # rank.  The paper-scale trials draw 68-70 columns (main-theorem k=17 and
-# corollary k=4, both of rank 64) and take 10-11 s each over Q, against
-# 0.85 s at rank 44 (main-theorem k=12), so the time grows steeply with
-# the rank (2-vCPU VM, Python 3.11).
+# corollary k=4, both of rank 64) and take 4.9-5.4 s each over Q, against
+# 0.54 s at rank 44 (main-theorem k=12), so the time grows steeply with
+# the rank (one trial at seed 0, in-process, 2-vCPU VM, Python 3.11).
 MAX_TRIAL_COLUMNS = 72
 
 

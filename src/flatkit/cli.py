@@ -233,7 +233,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.suite} suite at k={k} would draw more than "
                          f"{cat.MAX_TRIAL_COLUMNS} columns")
     rank = SUITE_RANK[args.suite](k)
-    cols = (args.cols, args.cols) if args.cols else (rank + 4, rank + 6)
+    cols = ((args.cols, args.cols) if args.cols is not None
+            else (rank + 4, rank + 6))
     reports = []
     failures = []
     for s, M in cat.trial_instances(rank, args.trials, args.seed,

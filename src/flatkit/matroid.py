@@ -253,12 +253,14 @@ def _pivot(ring: _Ring, v):
 
 
 def _normalized(ring: _Ring, v, at: int) -> list:
-    """The primitive part of v times adj of its entry at offset `at`, so
-    that entry becomes a rational integer: (N, 0, ..., 0)."""
+    """The primitive part of v times adj of its entry at offset `at`,
+    signed so that entry becomes a positive rational integer:
+    (N, 0, ..., 0) with N > 0."""
     lead = v[at:at + ring.phi]
     if any(lead[1:]):
         v = ring.times(ring.adj(lead), v)
-    return _primitive(v)
+    v = _primitive(v)
+    return v if v[at] > 0 else [-c for c in v]
 
 
 @lru_cache(maxsize=None)
@@ -306,19 +308,24 @@ def _reduce(ring: _Ring, basis, vector) -> list:
     return v
 
 
-def _echelon(ring: _Ring, vectors) -> list:
-    """Echelon basis of the span of flat `vectors`, stopping at full row
-    rank.
+def _echelon(ring: _Ring, vectors, basis=()) -> list:
+    """Echelon basis of the span of flat `vectors` and of the echelon
+    `basis` they extend (a copy of it; the one given is not changed),
+    stopping at full row rank.
 
     A basis is a list of (at, N, shifts) triples.  Each row is a reduced
     vector multiplied by adj of its first nonzero entry, the pivot,
     starting at offset `at`, so that the pivot becomes the rational
-    integer N, and then made primitive; the row is zero at the pivots of
-    the rows before it.  It is stored as `shifts`, the row times 1,
-    zeta, ..., zeta^(phi-1), which `_reduce` combines.  The length of
-    the basis is the rank of the span.
+    integer N, and then made primitive and signed so that N > 0; the row
+    is zero at the pivots of the rows before it.  It is stored as
+    `shifts`, the row times 1, zeta, ..., zeta^(phi-1), which `_reduce`
+    combines.  The length of the basis is the rank of the span.
+
+    The pivots depend on the span alone, so the primitive part of a
+    residue `_reduce` leaves, a positive multiple of the residue over the
+    field, is the same against every echelon basis of the span.
     """
-    basis = []
+    basis = list(basis)
     phi = ring.phi
     for vector in vectors:
         v = _reduce(ring, basis, vector)
@@ -370,10 +377,7 @@ def _point_key(ring: _Ring, column):
     at = _pivot(ring, column)
     if at is None:
         return None
-    key = _normalized(ring, column, at)
-    if key[at] < 0:
-        key = [-c for c in key]
-    return tuple(key)
+    return tuple(_normalized(ring, column, at))
 
 
 @dataclass
@@ -429,7 +433,8 @@ class Matroid:
 
     @property
     def rank_calls(self) -> int:
-        """Echelon bases built by this matroid and its minors."""
+        """Echelon bases built or extended by this matroid and its minors,
+        one each however many columns they take."""
         return self._meter.echelons
 
     @property
@@ -449,9 +454,15 @@ class Matroid:
 
     def _basis(self, labels):
         """Echelon basis of the columns of `labels`, taken in ground order."""
+        return self._extend((), labels)
+
+    def _extend(self, basis, labels):
+        """The echelon `basis` of some span extended by the columns of
+        `labels`, taken in ground order: a new echelon basis of the span
+        of both."""
         self._meter.echelons += 1
         return _echelon(self._ring,
-                        [self._columns[e] for e in self._order(labels)])
+                        [self._columns[e] for e in self._order(labels)], basis)
 
     def rank(self, labels=None) -> int:
         if labels is not None:
@@ -465,7 +476,11 @@ class Matroid:
         whose column has a nonzero dot product with the annihilator of
         their span is outside it; any other one is settled by `_reduce`."""
         key = self._labels(labels)
-        basis = self._basis(key)
+        return self._closure(key, self._basis(key))
+
+    def _closure(self, key, basis) -> Flat:
+        """The flat spanned by the label set `key`, `basis` an echelon
+        basis of the span of its columns."""
         if len(key) == len(self.ground):
             return Flat(self.ground, len(basis))
         ring, columns = self._ring, self._columns
@@ -541,25 +556,36 @@ class Matroid:
     def contract(self, flat: Flat) -> "Matroid":
         """Contract a flat; the result is loopless when self is.
 
-        Only flats may be contracted; anything else raises.  The span of
-        the flat is projected out of the other integer columns: each is
-        reduced against an echelon basis of the flat, made primitive, and
-        loses the rank(flat) pivot coordinates.
-        """
+        Only flats may be contracted; anything else raises."""
         if not self.is_loopless():
             raise UsageError("contraction requires a loopless matroid")
         key = self._labels(flat.elements)
-        basis = self._basis(key)
-        ground = tuple(e for e in self.ground if e not in key)
-        reduced = [_primitive(_reduce(self._ring, basis, self._columns[e]))
-                   for e in ground]
-        if not all(any(v) for v in reduced):
+        closed, minor = self._contract(key, self._basis(key))
+        if len(closed) != len(key):
             raise ContractNonFlatError(
                 f"cannot contract non-flat {flat.elements}")
-        phi = self._ring.phi
+        return minor
+
+    def _contract(self, key, basis):
+        """(cl(key), M/cl(key)) for the label set `key`, `basis` an
+        echelon basis of the span of its columns.  Each other column is
+        reduced against the basis once: a zero residue puts its element
+        in the closure, and a nonzero one, made primitive and cut to the
+        coordinates outside the rank(key) pivot entries, where it is
+        zero, is that element's column in the contraction."""
+        ring = self._ring
+        phi = ring.phi
+        closed, ground, reduced = [], [], []
+        for e in self.ground:
+            v = () if e in key else _reduce(ring, basis, self._columns[e])
+            if any(v):
+                ground.append(e)
+                reduced.append(_primitive(v))
+            else:
+                closed.append(e)
         pivots = {at for at, _, _ in basis}
         kept = [i for i in range(0, self._rows * phi, phi) if i not in pivots]
-        return Matroid._from_columns(
+        return Flat(tuple(closed), len(basis)), Matroid._from_columns(
             self.conductor, ground, len(kept),
             [(1, tuple([c for i in kept for c in v[i:i + phi]]))
              for v in reduced], meter=self._meter)

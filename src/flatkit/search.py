@@ -256,33 +256,40 @@ def _constructive(M, k, trace, limit):
 
     t = 4 * (k - 2)
     # the contraction flat is spanned by the first t greedy-basis
-    # elements, which are those of the shortest ground prefix of rank t
+    # elements, which are those of the shortest ground prefix of rank t;
+    # each span below is a known one plus some columns, so its echelon
+    # basis extends that span's basis
     g = M.ground
-    j = next((j for j in range(t, len(g) + 1) if M.rank(g[:j]) == t), None)
-    _require(j is not None, "no ground prefix has rank t")
-    F = M.closure(g[:j])
-    MF = M.contract(F).simplify()[0]
-    line = find_two_point_line(MF)  # rank >= 4 there, so guaranteed
+    j = t
+    basis = M._basis(g[:j])
+    while len(basis) < t and j < len(g):
+        basis = M._extend(basis, g[j:j + 1])
+        j += 1
+    _require(len(basis) == t, "no ground prefix has rank t")
+    F, MF = M._contract(frozenset(g[:j]), basis)
+    line = find_two_point_line(MF.simplify()[0])  # rank >= 4 there
     a, b = line.elements
 
-    F1 = M.closure(set(F.elements) | {a})
-    F2 = M.closure(set(F.elements) | {b})
+    f_set = set(F.elements)
+    basis1 = M._extend(basis, [a])
+    F1 = M._closure(f_set | {a}, basis1)
+    F2 = M._closure(f_set | {b}, M._extend(basis, [b]))
     _require(F1.rank == t + 1 and F2.rank == t + 1,
              "flats over the contraction line have wrong rank")
-    _require(set(F1.elements) & set(F2.elements) == set(F.elements),
+    _require(set(F1.elements) & set(F2.elements) == f_set,
              "the two flats must intersect exactly in the base flat")
     union = set(F1.elements) | set(F2.elements)
-    fu = M.closure(union)
+    fu = M._closure(union, M._extend(basis1, [b]))
     _require(set(fu.elements) == union and fu.rank == t + 2,
              "union of the two flats must be a flat of rank t+2")
 
     N = M.restrict(union)
     x, y = a, b
-    L = N.closure([x, y])
+    line_basis = N._basis([x, y])
+    L, N2 = N._contract({x, y}, line_basis)
     _require(set(L.elements) == {x, y} and L.rank == 2,
              "{x,y} must be a two-point line in the restriction")
 
-    N2 = N.contract(L)
     N2s, cls_map = N2.simplify()
     _require(N2s.rank() == t, "contracted restriction has wrong rank")
     sub_witness = _constructive(N2s, k - 1, trace, limit)
@@ -293,18 +300,18 @@ def _constructive(M, k, trace, limit):
     P = {e for e in N2.ground if cls_map[e] in p_reps}
     H = {e for e in N2.ground if cls_map[e] in h_reps}
 
-    K = N.closure(H | {x, y})
+    k_basis = N._extend(line_basis, H)
+    K = N._closure(H | {x, y}, k_basis)
     _require(set(K.elements) == H | {x, y} and K.rank == k,
              "H with the line must be a rank-k flat")
-    pxy = N.closure(P | {x, y})
+    pxy = N._closure(P | {x, y}, N._extend(line_basis, P))
     _require(set(pxy.elements) == P | {x, y} and pxy.rank == 3,
              "P with the line must be a plane")
-    hpxy = N.closure(H | P | {x, y})
+    hpxy = N._closure(H | P | {x, y}, N._extend(k_basis, P))
     _require(set(hpxy.elements) == H | P | {x, y} and hpxy.rank == k + 1,
              "H, P and the line must span a rank-(k+1) flat")
 
     # claim-1 case split: prefer z outside the base flat
-    f_set = set(F.elements)
     ordered_p = N._order(P)
     zw = None
     outside = [e for e in ordered_p if e not in f_set]

@@ -417,16 +417,17 @@ def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
 
 def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     """A main-theorem trial reports the flats formed and the echelon
-    bases built in the minors of its recursion, beyond those of the
-    trial matroid itself."""
+    bases built or extended in the minors of its recursion, beyond those
+    of the trial matroid itself.  Every echelon a matroid builds or
+    extends goes through `_extend`, `_basis` included."""
     from flatkit.matroid import Matroid
 
     built, own = [], []
-    basis, trial = Matroid._basis, cli._verify_trial
+    extend, trial = Matroid._extend, cli._verify_trial
 
-    def counting_basis(self, labels):
+    def counting_extend(self, basis, labels):
         built.append(self)
-        return basis(self, labels)
+        return extend(self, basis, labels)
 
     def counting_trial(suite, M, k):
         start = len(built)
@@ -434,7 +435,7 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
         own.append(sum(m is M for m in built[start:]))
         return got
 
-    monkeypatch.setattr(Matroid, "_basis", counting_basis)
+    monkeypatch.setattr(Matroid, "_extend", counting_extend)
     monkeypatch.setattr(cli, "_verify_trial", counting_trial)
     code, out, _ = run(capsys, "verify", "--suite", "main-theorem", "--k",
                        "3", "--trials", "1", "--seed", "0", "--json")
@@ -448,16 +449,17 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     (["search", "--conjecture", "1", "--k", "3", "--trials", "25"],
      {"flats_enumerated": 75}),
     (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
-     {"rank_calls": 19, "flats_enumerated": 2}),
+     {"rank_calls": 16, "flats_enumerated": 2}),
     (["search", "--conjecture", "2", "--k", "3", "--trials", "10"],
      {"rank_calls": 20, "flats_enumerated": 30}),
 ], ids=["search-c1-k3", "main-theorem-k3", "search-c2-k3"])
 def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     """Each scan stops at its first hit: conjecture 1 forms one chain of
     three flats per instance (2,269 flats with whole slices), a
-    main-theorem trial builds 19 echelon bases, and conjecture 2 goes
-    down one chain per instance, two echelons and three flats, with no
-    partner search: its walks never meet a frame that yields nothing."""
+    main-theorem trial builds or extends 16 echelon bases, and
+    conjecture 2 goes down one chain per instance, two echelons and
+    three flats, with no partner search: its walks never meet a frame
+    that yields nothing."""
     code, out, _ = run(capsys, *argv, "--seed", "0", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -593,6 +595,19 @@ def test_trials_above_max_columns_exit_3(capsys, monkeypatch, tmp_path,
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and "72 columns" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cols", ["0", "-3"])
+def test_verify_cols_below_the_rank_exit_3(capsys, monkeypatch, tmp_path,
+                                           cols):
+    """--cols 0 is a column count like any other, not the default: a
+    rank-4 stream cannot have fewer than 4 columns."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "kelly", "--cols", cols,
+                         "--trials", "1", "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: need at least as many columns as rows\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -28,7 +28,7 @@ from flatkit.cyclotomic import (
     one,
     zero,
 )
-from flatkit.errors import BudgetExceededError
+from flatkit.errors import BudgetExceededError, ContractNonFlatError
 from flatkit import matroid
 from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
@@ -207,6 +207,51 @@ def test_minors_are_the_matroids_of_their_matrices(case, data):
     # the span of F is projected out: rank(F) coordinates fewer
     assert Q.to_representation().rows == rep.rows - F.rank
     assert_minor_is_its_matrix(Q, data)
+
+
+# ---------------------------------------------------------------------------
+# one echelon per span
+#
+# The constructive search extends the echelon basis of a span by more
+# columns, and takes a closure and its contraction from one reduction of
+# the other columns against it; each must be what the public methods
+# build afresh.
+
+def assert_one_echelon_per_span(M, S, T):
+    """On a loopless M: the basis of S extended by T is a basis of S + T
+    (and the basis of S is left as it was), and one pass over the basis
+    of S gives the closure of S and the contraction by it."""
+    basis = M._basis(S)
+    rows = list(basis)
+    union = set(S) | set(T)
+    extended = M._extend(basis, T)
+    assert basis == rows
+    assert len(extended) == M.rank(union)
+    assert M._closure(union, extended) == M.closure(union)
+    closed, minor = M._contract(set(S), basis)
+    assert closed == M.closure(S)
+    assert minor.to_representation() == M.contract(closed).to_representation()
+    if len(closed) > len(S):
+        with pytest.raises(ContractNonFlatError):
+            M.contract(Flat(tuple(S), closed.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate(), st.data())
+def test_one_echelon_per_span(case, data):
+    M = loopless(case[0])
+    assert_one_echelon_per_span(M, subset(data, M.ground),
+                                subset(data, M.ground))
+
+
+@pytest.mark.parametrize("ref", ["ag23_power:2", "motzkin", "random:4,9,1,0",
+                                 "random:5,8,3,2", "random:4,8,4,5"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_one_echelon_per_span_on_catalog(ref, data):
+    M = Matroid(build_ref(ref))
+    assert_one_echelon_per_span(M, subset(data, M.ground),
+                                subset(data, M.ground))
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4])

@@ -50,6 +50,8 @@ GOLDEN = {
         (0, "d6b0fc9f9ce705280fcfddf783af2f3b11ce0ba91450ecfb22bb4efdaeebde3d"),
     "find-ordinary motzkin --k 3":
         (0, "1ffbd292467c4251223bf9942309d83ae0d3aff36a69aed95850055ce641a383"),
+    "find-ordinary random:12,16,3,5 --k 4 --method constructive --trace":
+        (0, "a091fbe376a335ff95655ccf3abf0091d6d49d4f2dffffa7d7d1af2482c70aea"),
     "find-ordinary random:8,13,1,42 --k 3 --method constructive --trace":
         (0, "3ed455cdae4e073ef24a72192d5a6ecbf1fa3ec8a133898cb03b8c9e466f5dbf"),
     "find-ordinary uniform_power:2,3,6 --k 4 --method constructive --trace":
@@ -76,6 +78,8 @@ GOLDEN = {
         (0, "78b04c84056340a7bc41d80c3123d33a59a1b63cc55c6d7b3ea15c1fb1a2728d"),
     "verify --suite main-theorem --k 5 --trials 3 --seed 0":
         (0, "50344aaac5bdfbfca16209da8d5c6bbb074a618a4112c5adda77e2c51987390f"),
+    "verify --suite main-theorem --k 8 --trials 1 --seed 0":
+        (0, "15ec9bfc7067d2e4d080064b756eeec886e5450d9ebb0dd8f222745fbf10bedb"),
 }
 
 

@@ -317,6 +317,21 @@ def test_constructive_flat_count_is_quadratic_in_k(conductor, k):
     assert M.flats_formed - formed == sum(j - 1 for j in range(3, k + 1))
 
 
+@pytest.mark.parametrize("k, echelons", [(3, 16), (8, 106), (12, 196)])
+def test_constructive_echelon_count(k, echelons):
+    """A main-theorem trial, drawn as `verify --seed 0` draws it, builds
+    or extends this many echelon bases, each counting once however many
+    columns it takes.  A level extends one basis per span: the ground
+    prefix of rank t, F + a, F + b and F + a + b from it, the line {x, y},
+    and L + H, L + P and L + H + P from that; the base flat F, the line
+    L and the contractions by them come from passes over those bases."""
+    rank = 4 * (k - 1)
+    _, M = next(trial_instances(rank, 1, 0, 1, (rank + 4, rank + 6)))
+    before = M.rank_calls
+    find_ordinary_flat_constructive(M, k)
+    assert M.rank_calls - before == echelons
+
+
 # -- elementary flats --------------------------------------------------------
 
 def test_elementary_two_lines_cross_pair():
