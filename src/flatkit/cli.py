@@ -100,7 +100,7 @@ def cmd_analyze(args) -> int:
         "points": len(M.parallel_classes()),
         "simple": M.is_simple(),
     }
-    if args.simple and not args.flats:
+    if args.simple and args.flats is None:
         if args.json:
             _print(json.dumps({"simple": out["simple"]}))
         else:

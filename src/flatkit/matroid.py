@@ -419,7 +419,7 @@ class Matroid:
         self._denominators = {e: den for e, (den, _) in zip(labels, columns)}
         self._columns = {e: col for e, (_, col) in zip(labels, columns)}
         self._position = {e: j for j, e in enumerate(self.ground)}
-        self._rank = None
+        self._ground_basis = None
         self._meter = _Meter() if meter is None else meter
         if points is None:
             points = [_point_key(self._ring, col) for _, col in columns]
@@ -467,9 +467,16 @@ class Matroid:
     def rank(self, labels=None) -> int:
         if labels is not None:
             return len(self._basis(self._labels(labels)))
-        if self._rank is None:
-            self._rank = len(self._basis(self.ground))
-        return self._rank
+        return len(self._prefix_basis())
+
+    def _prefix_basis(self):
+        """The echelon basis of all the columns, taken in ground order,
+        built once.  Its first r rows are the echelon basis of the
+        shortest ground prefix of rank r: the build reaches that prefix's
+        last column with exactly those rows."""
+        if self._ground_basis is None:
+            self._ground_basis = self._basis(self.ground)
+        return self._ground_basis
 
     def closure(self, labels) -> Flat:
         """The flat spanned by `labels`.  An element outside `labels`
@@ -567,12 +574,13 @@ class Matroid:
         return minor
 
     def _contract(self, key, basis):
-        """(cl(key), M/cl(key)) for the label set `key`, `basis` an
-        echelon basis of the span of its columns.  Each other column is
-        reduced against the basis once: a zero residue puts its element
-        in the closure, and a nonzero one, made primitive and cut to the
-        coordinates outside the rank(key) pivot entries, where it is
-        zero, is that element's column in the contraction."""
+        """(cl(S), M/cl(S)) for S the span of the echelon `basis`, which
+        holds the columns of the label set `key` and may span more than
+        them.  Each column outside `key` is reduced against the basis
+        once: a zero residue puts its element in the closure, and a
+        nonzero one, made primitive and cut to the coordinates outside the
+        rank(S) pivot entries, where it is zero, is that element's column
+        in the contraction."""
         ring = self._ring
         phi = ring.phi
         closed, ground, reduced = [], [], []
@@ -631,7 +639,9 @@ class Matroid:
         each one is counted in `flats_formed`, a cover the pair test
         rejects included, and a skipped point forms none; the iterator
         raises when it would form one more.  `rank_calls` counts a step
-        down into a flat and a partner search as one echelon each.
+        down into a flat and a partner search as one echelon each; a
+        partner search for b is the root's step down into {b}, so that
+        step reuses its residues and builds nothing.
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
@@ -648,6 +658,7 @@ class Matroid:
         root = {i: (self._columns[e], self._points[e])
                 for i, e in enumerate(ground)}
         partners = {}
+        below = {}  # residues of a partner search not yet stepped into
         hits = 0
         barren = False  # a frame the walk went down into has yielded nothing
 
@@ -686,10 +697,12 @@ class Matroid:
 
         def mates(b):
             # b is a single-element point of M/C, so {b} is its own point
-            # of M
+            # of M, and the search is the root's step down into {b}, which
+            # comes later (b is after the root point taken) and takes the
+            # residues kept here
             if b not in partners:
-                partners[b] = singles(points_of(
-                    descend(root, root[b][1], (b,))))
+                below[b] = descend(root, root[b][1], (b,))
+                partners[b] = singles(points_of(below[b]))
             return partners[b]
 
         def walk(flat, rank, last, carried):
@@ -716,8 +729,10 @@ class Matroid:
                             < k - rank - 1):
                         continue
                 before = hits
-                yield from walk(cover, rank + 1, first,
-                                descend(carried, row, set(point)))
+                down = below.pop(first, None) if rank == 0 else None
+                if down is None:
+                    down = descend(carried, row, set(point))
+                yield from walk(cover, rank + 1, first, down)
                 barren = barren or (free and hits == before)
 
         return walk((), 0, -1, root)

@@ -256,17 +256,13 @@ def _constructive(M, k, trace, limit):
 
     t = 4 * (k - 2)
     # the contraction flat is spanned by the first t greedy-basis
-    # elements, which are those of the shortest ground prefix of rank t;
-    # each span below is a known one plus some columns, so its echelon
-    # basis extends that span's basis
-    g = M.ground
-    j = t
-    basis = M._basis(g[:j])
-    while len(basis) < t and j < len(g):
-        basis = M._extend(basis, g[j:j + 1])
-        j += 1
-    _require(len(basis) == t, "no ground prefix has rank t")
-    F, MF = M._contract(frozenset(g[:j]), basis)
+    # elements, which are those of the shortest ground prefix of rank t,
+    # and the first t rows of M's rank echelon are that prefix's echelon
+    # basis (M has rank above t, checked before this level), whose span
+    # holds g[:t]; each span below is a known one plus some columns, so
+    # its echelon basis extends that span's basis
+    basis = M._prefix_basis()[:t]
+    F, MF = M._contract(frozenset(M.ground[:t]), basis)
     line = find_two_point_line(MF.simplify()[0])  # rank >= 4 there
     a, b = line.elements
 

@@ -9,6 +9,8 @@ import json
 import random
 import time
 
+import pytest
+
 from flatkit.catalog import ag23, ag23_power, motzkin, random_instance, uniform, uniform_power
 from flatkit.cli import main
 from flatkit.matroid import Matroid
@@ -111,6 +113,28 @@ def test_corollary_k2():
             ok = False
     criterion("corollary k=2 (50 rank-4 instances, elementary line)",
               ok, time.time() - t0, 60)
+
+
+@pytest.mark.slow
+def test_corollary_k4_paper_scale(capsys):
+    """One corollary k=4 trial over Q at rank 4^3 = 64: the elementary
+    induction runs the constructive search at k = 4^2 + 1 = 17, then at
+    k = 4 + 1 = 5 in the rank-16 complement of its witness, and at k = 2
+    in the rank-4 complement of that one.  Its witness and its work
+    counts are pinned."""
+    t0 = time.time()
+    code = main(["verify", "--suite", "corollary", "--k", "4", "--trials",
+                 "1", "--seed", "0", "--json"])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    elapsed = time.time() - t0
+    assert (code, report["rank"], report["outcome"]) == (0, 64,
+                                                         "witness found")
+    assert report["witness"]["flat"] == ["e1", "e2", "e5", "e17"]
+    assert report["stats"] == {"rank_calls": 369, "flats_enumerated": 144,
+                               "ms": 0.0}
+    with capsys.disabled():
+        criterion("corollary k=4 over Q (one rank-64 trial)",
+                  True, elapsed, 120)
 
 
 def test_conjecture2_tightness():

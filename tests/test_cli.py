@@ -80,6 +80,20 @@ def test_analyze_rank_zero_flat(capsys):
         "rank-0 flats: 1", "  {}  0 points, not ordinary, elementary"]
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_analyze_simple_with_flats_is_the_full_report(capsys, k):
+    """--simple alone prints the simplicity only; with --flats, of any
+    rank, 0 included, the report is the one without --simple."""
+    code, out, _ = run(capsys, "analyze", "ag23", "--simple", "--json")
+    assert code == 0 and json.loads(out) == {"simple": True}
+    code, out, _ = run(capsys, "analyze", "ag23", "--simple", "--flats", k,
+                       "--json")
+    assert code == 0
+    _, full, _ = run(capsys, "analyze", "ag23", "--flats", k, "--json")
+    assert json.loads(out) == json.loads(full)
+    assert json.loads(out)["flats"]["rank"] == int(k)
+
+
 def test_analyze_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "broken.mat"
     bad.write_text("conductor 1\nsize 2 2\n1 0\n")
@@ -449,14 +463,14 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     (["search", "--conjecture", "1", "--k", "3", "--trials", "25"],
      {"flats_enumerated": 75}),
     (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
-     {"rank_calls": 16, "flats_enumerated": 2}),
+     {"rank_calls": 15, "flats_enumerated": 2}),
     (["search", "--conjecture", "2", "--k", "3", "--trials", "10"],
      {"rank_calls": 20, "flats_enumerated": 30}),
 ], ids=["search-c1-k3", "main-theorem-k3", "search-c2-k3"])
 def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     """Each scan stops at its first hit: conjecture 1 forms one chain of
     three flats per instance (2,269 flats with whole slices), a
-    main-theorem trial builds or extends 16 echelon bases, and
+    main-theorem trial builds or extends 15 echelon bases, and
     conjecture 2 goes down one chain per instance, two echelons and
     three flats, with no partner search: its walks never meet a frame
     that yields nothing."""

@@ -254,6 +254,48 @@ def test_one_echelon_per_span_on_catalog(ref, data):
                                 subset(data, M.ground))
 
 
+def shortest_prefix(M, t):
+    """The shortest ground prefix of rank t."""
+    g = M.ground
+    return next(g[:j] for j in range(t, len(g) + 1) if M.rank(g[:j]) == t)
+
+
+def assert_rank_echelon_prefixes(M, ranks):
+    """For each t in `ranks`: the first t rows of the echelon M's rank is
+    read off are the echelon basis of the shortest ground prefix of rank
+    t, and the pass over them that skips the first t elements gives that
+    prefix's closure and the contraction by it, as a constructive level
+    takes them."""
+    full = M._prefix_basis()
+    assert len(full) == M.rank()
+    for t in ranks:
+        prefix = shortest_prefix(M, t)
+        assert full[:t] == M._basis(prefix)
+        closed, minor = M._contract(frozenset(M.ground[:t]), full[:t])
+        assert closed == M.closure(prefix)
+        assert minor.to_representation() == M.contract(
+            closed).to_representation()
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate())
+def test_rank_echelon_rows_are_the_prefix_bases(case):
+    M = loopless(case[0])
+    assert_rank_echelon_prefixes(M, range(M.rank() + 1))
+
+
+@pytest.mark.parametrize("ref, t, length", [
+    ("ag23_power:3", 4, 10), ("uniform_power:2,3,6", 4, 5),
+    ("uniform_power:2,3,6", 8, 11)])
+def test_rank_echelon_rows_are_the_prefix_bases_on_catalog(ref, t, length):
+    """Catalog matroids whose shortest prefix of rank t, the base flat's
+    span at a constructive level, is longer than t: AG(2,3) spans a plane
+    and the first three elements of a sum of lines are collinear."""
+    M = Matroid(build_ref(ref))
+    assert len(shortest_prefix(M, t)) == length
+    assert_rank_echelon_prefixes(M, range(M.rank() + 1))
+
+
 @pytest.mark.parametrize("conductor", [1, 3, 4])
 @pytest.mark.parametrize("rank, cols", [(4, (8, 10)), (8, (12, 14))])
 def test_rebuilt_matroid_shares_no_derived_state(conductor, rank, cols):

@@ -48,12 +48,16 @@ GOLDEN = {
         (0, "7c0ea0b380d298f3508c06aa2784651ac037564ee50f59fcb5c7dd72542efe93"),
     "find-ordinary ag23_power:2 --k 3":
         (0, "d6b0fc9f9ce705280fcfddf783af2f3b11ce0ba91450ecfb22bb4efdaeebde3d"),
+    "find-ordinary ag23_power:3 --k 3 --method constructive --trace":
+        (0, "5bb58f6ec1881d7324d54f70b2b878d14359e8916a0bba5da5a005cc4672fb09"),
     "find-ordinary motzkin --k 3":
         (0, "1ffbd292467c4251223bf9942309d83ae0d3aff36a69aed95850055ce641a383"),
     "find-ordinary random:12,16,3,5 --k 4 --method constructive --trace":
         (0, "a091fbe376a335ff95655ccf3abf0091d6d49d4f2dffffa7d7d1af2482c70aea"),
     "find-ordinary random:8,13,1,42 --k 3 --method constructive --trace":
         (0, "3ed455cdae4e073ef24a72192d5a6ecbf1fa3ec8a133898cb03b8c9e466f5dbf"),
+    "find-ordinary uniform_power:2,3,6 --k 3 --method constructive --trace":
+        (0, "a203c19d052bb9c843c3ccbdada0d4a154895fa19bf5fee83315aecafd4ceebb"),
     "find-ordinary uniform_power:2,3,6 --k 4 --method constructive --trace":
         (0, "3af630d722be9b462df4af69c5ad6022e00a8d80e2162010949973c29947ddb5"),
     "search --conjecture 1 --k 3 --trials 5 --seed 0":
