@@ -17,14 +17,18 @@ its zeta shifts, row times zeta^j.  Reducing v against it is
 v <- N(p) v - f row for f the entry of v at the pivot, one whole-vector
 list comprehension at phi <= 2, at most phi in general.  Kept vectors
 are made primitive.  No field inverse is taken and nothing is divided
-except by an exact integer gcd.  A closure rejects a non-member column
-by an integer functional that vanishes on the span (`_annihilator`): a
-nonzero dot product with it proves the column is outside, and only a
-column with a zero dot product is settled by `_reduce`, so every answer
-stays exact.  Minors hold integer columns too: a restriction
-keeps a subset of the columns and their point keys, and contracting a
-flat projects its span out of the other columns.  Points (parallel
-classes) are read off a projective normal form of each column.
+except by an exact integer gcd.  A step of the flat walk reduces each
+residue it carries by one row and keys it (`_step_down`): at phi <= 2
+that is one closed-form pass per residue, the same integers as
+`_reduce`, `_primitive` and `_point_key`, which it calls at phi > 2.  A
+closure rejects a non-member column by an integer functional that
+vanishes on the span (`_annihilator`): a nonzero dot product with it
+proves the column is outside, and only a column with a zero dot product
+is settled by `_reduce`, so every answer stays exact.  Minors hold
+integer columns too: a restriction keeps a subset of the columns and
+their point keys, and contracting a flat projects its span out of the
+other columns.  Points (parallel classes) are read off a projective
+normal form of each column.
 """
 
 from __future__ import annotations
@@ -306,6 +310,73 @@ def _reduce(ring: _Ring, basis, vector) -> list:
             for g, shift in rest:
                 v = [x - g * s for x, s in zip(v, shift)]
     return v
+
+
+def _step_down(ring: _Ring, step, carried, inside) -> dict:
+    """One step of the flat walk, down into the point whose basis row is
+    `step`, (at, N, shifts) as `_echelon` stores it.  `carried` maps each
+    element outside a flat C to (v, key), v its primitive residue against
+    a basis of C and key that residue's `_point_key`; the result maps
+    each one outside C and `inside` to the pair against the basis
+    extended by the row: _primitive(_reduce(ring, [step], v)) and its
+    key, or the pair as it is if v is zero at the pivot entry.  At
+    phi <= 2 a residue takes one pass with no call: reduce, divide by the
+    content, find the lead entry; at phi = 2, if the lead is not
+    rational, multiply by its other conjugate a0 - c1*a1 - a1*zeta and
+    divide by the content again; sign the lead positive."""
+    at, value, shifts = step
+    phi = ring.phi
+    down = {}
+    if phi > 2:
+        end = at + phi
+        for i, (v, key) in carried.items():
+            if i not in inside:
+                if any(v[at:end]):
+                    v = _primitive(_reduce(ring, [step], v))
+                    key = _point_key(ring, v)
+                down[i] = v, key
+        return down
+    row, zrow = shifts if phi == 2 else (shifts[0], None)
+    c0, c1 = ring.low if phi == 2 else (0, 0)
+    for i, pair in carried.items():
+        if i in inside:
+            continue
+        v = pair[0]
+        f = v[at]
+        if phi == 1:
+            if not f:
+                down[i] = pair
+                continue
+            w = [value * x - f * r for x, r in zip(v, row)]
+        else:
+            g = v[at + 1]
+            if not (f or g):
+                down[i] = pair
+                continue
+            w = [value * x - f * r - g * q for x, r, q in zip(v, row, zrow)]
+        content = gcd(*w)
+        if not content:
+            down[i] = w, None
+            continue
+        if content > 1:
+            w = [x // content for x in w]
+        # w is nonzero, so the walk's generator meets no StopIteration
+        lead = next(compress(count(), w))
+        key = w
+        if phi == 2:
+            lead -= lead % 2
+            a0, a1 = w[lead], w[lead + 1]
+            if a1:
+                # (x + y zeta)(a0 - c1 a1 - a1 zeta), zeta^2 = -c0 - c1 zeta
+                s, t = a0 - c1 * a1, c0 * a1
+                pairs = iter(w[lead:])
+                key = w[:lead] + [y for x, z in zip(pairs, pairs)
+                                  for y in (s * x + t * z, a0 * z - a1 * x)]
+                content = gcd(*key)
+                if content > 1:
+                    key = [x // content for x in key]
+        down[i] = w, tuple(key) if key[lead] > 0 else tuple([-x for x in key])
+    return down
 
 
 def _echelon(ring: _Ring, vectors, basis=()) -> list:
@@ -668,6 +739,7 @@ class Matroid:
         # points of M/C.  The point taken extends the basis by its key.  A
         # residue zero at the step's pivot entry keeps its key.  Residues
         # are reduced, not keys: a key is one times phi - 1 conjugates.
+        # A step's arithmetic is `_step_down`'s, in closed form at phi <= 2.
         def points_of(carried):
             points = {}
             for i, (_, key) in carried.items():
@@ -677,16 +749,8 @@ class Matroid:
         def descend(carried, row, inside):
             meter.echelons += 1
             at = _pivot(ring, row)
-            step = [(at, row[at], ring.shifts(row))]
-            end = at + ring.phi
-            down = {}
-            for i, (v, key) in carried.items():
-                if i not in inside:
-                    if any(v[at:end]):
-                        v = _primitive(_reduce(ring, step, v))
-                        key = _point_key(ring, v)
-                    down[i] = v, key
-            return down
+            return _step_down(ring, (at, row[at], ring.shifts(row)), carried,
+                              inside)
 
         # a set of ground positions as the bits of an int: a walk holds up
         # to one partner set per element, a few bytes each where a set of

@@ -355,7 +355,8 @@ def _choose_f_prime(N, K, x, y, k, limit):
 
 def find_elementary_flat(M: Matroid, k: int,
                          budget: int = DEFAULT_CLOSURE_BUDGET):
-    """An elementary rank-k flat, or None.
+    """An elementary rank-k flat, or None; a k outside 1..rank is
+    refused.
 
     With rank at least 4^(k-1) the constructive route always succeeds:
     find an ordinary rank-(4^(k-2)+1) flat, recurse into its rank-4^(k-2)
@@ -368,12 +369,12 @@ def find_elementary_flat(M: Matroid, k: int,
         raise UsageError("find_elementary_flat requires a simple matroid")
     if k < 1:
         raise UsageError("k must be at least 1")
-    if k == 1:
-        if not M.ground:
-            return None
+    if k == 1 and M.ground:
         return M.closure([M.ground[0]])
     if k > M.rank():
-        return None
+        # refused by the scan, as every search refuses it, before
+        # 4^(k-1) is computed
+        return find_elementary_flat_brute(M, k, budget=budget)
     if M.rank() >= 4 ** (k - 1):
         witness, _ = find_ordinary_flat_constructive(
             M, 4 ** (k - 2) + 1, budget=budget)

@@ -1,7 +1,8 @@
 """The matroid layer on degenerate matrices: zero columns, zeta-multiple
-columns and planted linear combinations over Q(zeta_n), n in {1, 3, 4},
-and the integer rank kernel against a field reference on the same kind
-of matrices over more conductors.
+columns and planted linear combinations over Q(zeta_n), n in {1, 3, 4}
+(the flat walk and its step also at n = 5 and 6), and the integer rank
+kernel against a field reference on the same kind of matrices over more
+conductors.
 
 A zeta-multiple of a column is parallel to it over Q(zeta_n) although
 its rational coordinate vectors are not proportional, so these inputs
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatkit.catalog import build_ref, trial_instances
@@ -353,7 +354,7 @@ def assert_flat_walk(M):
 
 
 @settings(max_examples=60, deadline=None)
-@given(degenerate())
+@given(degenerate((1, 3, 4, 5, 6)))
 def test_flat_walk_matches_brute_oracle(case):
     rep, _ = case
     M = Matroid(rep)
@@ -430,7 +431,7 @@ def loopless(rep):
 
 
 @settings(max_examples=60, deadline=None)
-@given(degenerate())
+@given(degenerate((1, 3, 4, 5, 6)))
 def test_free_walk_is_the_walk_cut_to_free_flats(case):
     M = loopless(case[0])
     assert_free_walk(M, range(M.rank() + 1))
@@ -750,6 +751,42 @@ def test_phi2_closed_forms_match_the_general_route(n):
         for lead in ([f, g], [0, g], [f, 0], [0, 0]):
             v[at:at + 2] = lead
             assert matroid._reduce(ring, [step], v) == two_pass_step(*step, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate((1, 3, 4, 5, 6)), st.data())
+def test_walk_step_is_reduce_then_point_key(case, data):
+    """`_step_down` gives every carried vector v nonzero at the step's
+    pivot entry exactly _primitive(_reduce(ring, [step], v)) and that
+    residue's `_point_key`, skips `inside` and passes the other pairs on
+    as they are.  Each column is carried as v, -v, zeta*v and -zeta*v, so
+    at phi = 2 the residues have negative rational leads and leads with a
+    nonzero zeta coefficient; n = 6 has c1 = -1, and n = 5 takes the
+    phi > 2 route."""
+    rep, _ = case
+    M = Matroid(rep)
+    ring, phi = M._ring, M._ring.phi
+    keys = [key for key in M._points.values() if key is not None]
+    assume(keys)
+    row = list(data.draw(st.sampled_from(keys)))
+    at = matroid._pivot(ring, row)
+    step = (at, row[at], ring.shifts(row))
+    vectors = []
+    for v in M._columns.values():
+        for u in (list(v), ring._times_zeta(v)):
+            vectors += [u, [-c for c in u]]
+    carried = {i: (v, matroid._point_key(ring, v))
+               for i, v in enumerate(vectors)}
+    inside = set(data.draw(st.lists(st.sampled_from(sorted(carried)),
+                                    max_size=2)))
+    expected = {}
+    for i, pair in carried.items():
+        if i not in inside:
+            if any(pair[0][at:at + phi]):
+                v = matroid._primitive(matroid._reduce(ring, [step], pair[0]))
+                pair = v, matroid._point_key(ring, v)
+            expected[i] = pair
+    assert matroid._step_down(ring, step, carried, inside) == expected
 
 
 @settings(max_examples=60, deadline=None)

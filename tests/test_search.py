@@ -387,6 +387,16 @@ def test_elementary_k1():
     assert fl is not None and fl.rank == 1
 
 
+def test_elementary_k_above_the_rank_is_refused():
+    """k = 1 on a matroid with no element is above its rank 0, and is
+    refused like any k above the rank."""
+    for M, k in ((Matroid(representation_from_rows([[], []], 1, ())), 1),
+                 (Matroid(ag23()), 4)):
+        with pytest.raises(UsageError,
+                           match=rf"^k={k} out of range 1\.\.{k - 1}$"):
+            find_elementary_flat(M, k)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_bonnice_edelstein_tightness(k):
     # (k-1)-fold sum of three-point lines has rank 2(k-1) and no
