@@ -328,11 +328,11 @@ def _step_down(ring: _Ring, step, carried, inside) -> dict:
     phi = ring.phi
     down = {}
     if phi > 2:
-        end = at + phi
+        basis, end = [step], at + phi
         for i, (v, key) in carried.items():
             if i not in inside:
                 if any(v[at:end]):
-                    v = _primitive(_reduce(ring, [step], v))
+                    v = _primitive(_reduce(ring, basis, v))
                     key = _point_key(ring, v)
                 down[i] = v, key
         return down
