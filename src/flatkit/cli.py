@@ -288,8 +288,6 @@ def _dump_failure(suite, k, seed, M, trace=None):
 
 
 def cmd_search(args) -> int:
-    if args.k < 2:
-        raise UsageError("conjectures are stated for k >= 2")
     stream = conjecture_instances(args.conjecture, args.k, args.trials,
                                   args.seed, conductor=args.conductor)
     report = search_conjecture_counterexample(

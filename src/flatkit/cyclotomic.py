@@ -1,15 +1,15 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Scalars of the cyclotomic fields Q(zeta_n) and their text syntax.
 
 Elements are stored as coordinate vectors in the power basis
 1, zeta, ..., zeta^(phi(n)-1) of Q[x]/Phi_n(x), with Fraction coordinates.
 Q is conductor 1, the Eisenstein rationals conductor 3, the Gaussian
-rationals conductor 4.  All values are immutable and all operations pure.
+rationals conductor 4.
 
-`CyclotomicNumber` is the value `parse_scalar` returns, and its field
-operations are the reference the tests check the integer rank kernel
-of `matroid` against.  A matrix is held as integer columns
-(`matroid.Representation`), so no matrix, rank question or catalog
-construction reaches this module's arithmetic.
+`CyclotomicNumber` is the immutable value a parsed matrix entry becomes
+(`parse_scalar`): its coordinates reduced modulo Phi_n, with equality
+and hashing and no field arithmetic.  A matrix is held as integer
+columns (`matroid.Representation`), and every rank question is settled
+on those.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConductorMismatchError, ScalarParseError
+from .errors import ScalarParseError
 
 
 # ---------------------------------------------------------------------------
@@ -28,18 +28,6 @@ def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
 
 
 def _poly_divmod(a, b):
@@ -103,40 +91,6 @@ class CyclotomicNumber:
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
-    @classmethod
-    def from_rational(cls, q, conductor: int = 1) -> "CyclotomicNumber":
-        return cls(conductor, [Fraction(q)])
-
-    @classmethod
-    def zeta(cls, conductor: int) -> "CyclotomicNumber":
-        """The primitive root of unity zeta_n (equals 1 when n = 1)."""
-        if conductor == 1:
-            return cls(1, [Fraction(1)])
-        return cls(conductor, [Fraction(0), Fraction(1)])
-
-    def _check(self, other):
-        if self.conductor != other.conductor:
-            raise ConductorMismatchError(
-                f"conductor mismatch: {self.conductor} vs {other.conductor}")
-
-    def __add__(self, other):
-        self._check(other)
-        return CyclotomicNumber(
-            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return CyclotomicNumber(
-            self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return CyclotomicNumber(self.conductor, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        self._check(other)
-        return CyclotomicNumber(
-            self.conductor, _poly_mul(list(self.coeffs), list(other.coeffs)))
-
     def __eq__(self, other):
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -153,14 +107,6 @@ class CyclotomicNumber:
 
     def __str__(self):
         return format_scalar(self.coeffs)
-
-
-def zero(conductor: int) -> CyclotomicNumber:
-    return CyclotomicNumber.from_rational(0, conductor)
-
-
-def one(conductor: int) -> CyclotomicNumber:
-    return CyclotomicNumber.from_rational(1, conductor)
 
 
 # ---------------------------------------------------------------------------

@@ -570,17 +570,6 @@ class Matroid:
                            and not any(_reduce(ring, basis, columns[e]))))
         return Flat(closed, len(basis))
 
-    def is_flat(self, labels) -> bool:
-        cl = self.closure(labels)
-        return set(cl.elements) == set(labels)
-
-    def as_flat(self, labels) -> Flat:
-        """Validate that `labels` is closed and wrap it as a Flat."""
-        cl = self.closure(labels)
-        if set(cl.elements) != set(labels):
-            raise UsageError("element set is not a flat")
-        return cl
-
     # -- simplicity --------------------------------------------------------
 
     def loops(self) -> tuple[str, ...]:
@@ -729,7 +718,7 @@ class Matroid:
         root = {i: (self._columns[e], self._points[e])
                 for i, e in enumerate(ground)}
         partners = {}
-        below = {}  # residues of a partner search not yet stepped into
+        below = {}  # frames of a partner search not yet stepped into
         hits = 0
         barren = False  # a frame the walk went down into has yielded nothing
 
@@ -740,6 +729,7 @@ class Matroid:
         # residue zero at the step's pivot entry keeps its key.  Residues
         # are reduced, not keys: a key is one times phi - 1 conjugates.
         # A step's arithmetic is `_step_down`'s, in closed form at phi <= 2.
+        # A frame is the carried dict with its points, grouped once.
         def points_of(carried):
             points = {}
             for i, (_, key) in carried.items():
@@ -749,8 +739,9 @@ class Matroid:
         def descend(carried, row, inside):
             meter.echelons += 1
             at = _pivot(ring, row)
-            return _step_down(ring, (at, row[at], ring.shifts(row)), carried,
+            down = _step_down(ring, (at, row[at], ring.shifts(row)), carried,
                               inside)
+            return down, points_of(down)
 
         # a set of ground positions as the bits of an int: a walk holds up
         # to one partner set per element, a few bytes each where a set of
@@ -763,15 +754,15 @@ class Matroid:
             # b is a single-element point of M/C, so {b} is its own point
             # of M, and the search is the root's step down into {b}, which
             # comes later (b is after the root point taken) and takes the
-            # residues kept here
+            # frame kept here
             if b not in partners:
                 below[b] = descend(root, root[b][1], (b,))
-                partners[b] = singles(points_of(below[b]))
+                partners[b] = singles(below[b][1])
             return partners[b]
 
-        def walk(flat, rank, last, carried):
+        def walk(flat, rank, last, frame):
             nonlocal hits, barren
-            points = points_of(carried)
+            carried, points = frame
             single = None
             for row, point in points.items():
                 first = point[0]
@@ -799,7 +790,7 @@ class Matroid:
                 yield from walk(cover, rank + 1, first, down)
                 barren = barren or (free and hits == before)
 
-        return walk((), 0, -1, root)
+        return walk((), 0, -1, (root, points_of(root)))
 
     # -- materialization ---------------------------------------------------
 
@@ -817,6 +808,12 @@ class Matroid:
 # matrix file format
 
 def write_matrix(rep: Representation) -> str:
+    """The matrix file of `rep`.  The labels line is split on whitespace
+    when read, so a label that is empty or holds whitespace is refused."""
+    for label in rep.labels:
+        if label.split() != [label]:
+            raise UsageError(f"label {label!r} cannot be written to a "
+                             "matrix file: it is empty or holds whitespace")
     phi = euler_phi(rep.conductor)
     cells = [[format_scalar([Fraction(c, den) for c in v[i:i + phi]])
               for i in range(0, len(v), phi)] for den, v in rep.columns]
@@ -899,5 +896,6 @@ def load_matrix(path) -> Representation:
 
 
 def save_matrix(rep: Representation, path) -> None:
+    text = write_matrix(rep)
     with open(path, "w") as fh:
-        fh.write(write_matrix(rep))
+        fh.write(text)

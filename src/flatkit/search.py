@@ -371,11 +371,9 @@ def find_elementary_flat(M: Matroid, k: int,
         raise UsageError("k must be at least 1")
     if k == 1 and M.ground:
         return M.closure([M.ground[0]])
-    if k > M.rank():
-        # refused by the scan, as every search refuses it, before
-        # 4^(k-1) is computed
-        return find_elementary_flat_brute(M, k, budget=budget)
-    if M.rank() >= 4 ** (k - 1):
+    # a k above the rank falls through to the scan, which refuses it
+    # before 4^(k-1) is computed
+    if k <= M.rank() and M.rank() >= 4 ** (k - 1):
         witness, _ = find_ordinary_flat_constructive(
             M, 4 ** (k - 2) + 1, budget=budget)
         sub = find_elementary_flat(M.restrict(witness.complement.elements),

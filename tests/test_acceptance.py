@@ -12,6 +12,7 @@ import time
 import pytest
 
 from flatkit.catalog import ag23, ag23_power, motzkin, random_instance, uniform, uniform_power
+from flatkit import search
 from flatkit.cli import main
 from flatkit.matroid import Matroid
 from flatkit.search import (
@@ -81,7 +82,9 @@ def test_main_theorem_k3():
         _, rep = main_theorem_instance(i)
         witness, _ = find_ordinary_flat_constructive(Matroid(rep), 3)
         fresh = Matroid(rep)
-        if is_ordinary(fresh, fresh.as_flat(witness.flat.elements)) is None:
+        flat = fresh.closure(witness.flat.elements)
+        assert set(flat.elements) == set(witness.flat.elements)
+        if is_ordinary(fresh, flat) is None:
             ok = False
     criterion("main theorem k=3 (25 constructive runs + recheck)",
               ok, time.time() - t0, 300)
@@ -113,6 +116,32 @@ def test_corollary_k2():
             ok = False
     criterion("corollary k=2 (50 rank-4 instances, elementary line)",
               ok, time.time() - t0, 60)
+
+
+def test_corollary_k3(capsys, monkeypatch):
+    """Three corollary k=3 trials over Q at rank 16 = 4^2: each takes the
+    constructive branch (the brute scan is never reached) at k = 3 and
+    again at k = 2 in the rank-4 complement of its witness.  The
+    witnesses and the work counts of each trial are pinned."""
+
+    def brute(M, k, budget=None):
+        raise AssertionError(f"brute scan reached at k={k}")
+
+    monkeypatch.setattr(search, "find_elementary_flat_brute", brute)
+    t0 = time.time()
+    code = main(["verify", "--suite", "corollary", "--k", "3", "--trials",
+                 "3", "--seed", "0", "--json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    elapsed = time.time() - t0
+    assert code == 0 and [r["seed"] for r in reports] == [0, 1, 2]
+    for report in reports:
+        assert (report["rank"], report["outcome"]) == (16, "witness found")
+        assert report["witness"]["flat"] == ["e1", "e2", "e5"]
+        assert report["stats"] == {"rank_calls": 51, "flats_enumerated": 9,
+                                   "ms": 0.0}
+    with capsys.disabled():
+        criterion("corollary k=3 over Q (three rank-16 trials)",
+                  True, elapsed, 60)
 
 
 @pytest.mark.slow

@@ -234,10 +234,12 @@ def test_constructive_branch_budget_exit_6(capsys, argv):
     assert err.startswith("budget exceeded: flat budget ")
 
 
-def test_search_k1_rejected(capsys):
-    code, _, _ = run(capsys, "search", "--conjecture", "1", "--k", "1",
-                     "--trials", "1")
-    assert code == 3
+def test_search_k1_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(cli.cat, "_draw_columns", None)  # nothing drawn
+    code, out, err = run(capsys, "search", "--conjecture", "1", "--k", "1",
+                         "--trials", "1")
+    assert code == 3 and out == ""
+    assert err == "error: conjectures are stated for k >= 2\n"
 
 
 def test_threads_option_removed(capsys):

@@ -1,4 +1,5 @@
-"""Scalar arithmetic in Q(zeta_n)."""
+"""Scalars of Q(zeta_n): the package's reduced values and text syntax,
+and the tests' field arithmetic on them (`field_reference`)."""
 
 from fractions import Fraction
 
@@ -6,25 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_reference import FieldNumber, inv
 from flatkit.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
     format_scalar,
-    one,
     parse_scalar,
-    zero,
 )
 from flatkit.errors import ConductorMismatchError, ScalarParseError
-from test_degenerate import inv
 
 
 def num(q, n=1):
-    return CyclotomicNumber.from_rational(Fraction(q), n)
+    return FieldNumber(n, [Fraction(q)])
+
+
+def zero(n):
+    return FieldNumber(n, [])
+
+
+def one(n):
+    return FieldNumber(n, [1])
 
 
 def zeta(n):
-    return CyclotomicNumber.zeta(n)
+    """The primitive root of unity zeta_n (equals 1 when n = 1)."""
+    return FieldNumber(n, [0, 1])
 
 
 def test_rational_addition():
@@ -41,7 +49,7 @@ def test_add_zero_identity():
     rng = random.Random(0)
     for _ in range(1000):
         n = rng.choice([1, 3, 4])
-        x = CyclotomicNumber(
+        x = FieldNumber(
             n, [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
                 for _ in range(euler_phi(n))])
         assert x + zero(n) == x
@@ -135,7 +143,7 @@ def cyclo_numbers(n):
     phi = euler_phi(n)
     rat = st.fractions(min_value=-10, max_value=10, max_denominator=9)
     return st.lists(rat, min_size=phi, max_size=phi).map(
-        lambda cs: CyclotomicNumber(n, cs))
+        lambda cs: FieldNumber(n, cs))
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,17 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from field_reference import FieldNumber, inv
 from flatkit.catalog import build_ref, trial_instances
-from flatkit.cyclotomic import (
-    CyclotomicNumber,
-    _poly_divmod,
-    _poly_mul,
-    _trim,
-    cyclotomic_polynomial,
-    euler_phi,
-    one,
-    zero,
-)
+from flatkit.cyclotomic import euler_phi
 from flatkit.errors import BudgetExceededError, ContractNonFlatError
 from flatkit import matroid
 from flatkit.matroid import (
@@ -54,13 +46,13 @@ from flatkit.search import (
 @st.composite
 def degenerate(draw, conductors=(1, 3, 4)):
     """(representation, planted facts) with the planted columns mixed in;
-    facts["columns"] maps each label to its drawn CyclotomicNumber
-    column, in ground order."""
+    facts["columns"] maps each label to its drawn column of
+    FieldNumbers, in ground order."""
     n = draw(st.sampled_from(conductors))
     phi = euler_phi(n)
     d = draw(st.integers(1, 4))
     scalar = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi).map(
-        lambda c: CyclotomicNumber(n, c))
+        lambda c: FieldNumber(n, c))
     nonzero = scalar.filter(bool)
     cols = draw(st.lists(st.tuples(*[scalar] * d), min_size=1, max_size=4))
     loops, parallel, spanned = [], [], []
@@ -68,12 +60,12 @@ def degenerate(draw, conductors=(1, 3, 4)):
                               min_size=1, max_size=5)):
         if kind == "zero":
             loops.append(len(cols))
-            cols.append((zero(n),) * d)
+            cols.append((FieldNumber(n, []),) * d)
         elif kind == "multiple":
             src = draw(st.integers(0, len(cols) - 1))
             factor = draw(nonzero)
             for _ in range(draw(st.integers(0, n - 1))):
-                factor = factor * CyclotomicNumber.zeta(n)
+                factor = factor * FieldNumber(n, [0, 1])
             parallel.append((src, len(cols)))
             cols.append(tuple(factor * x for x in cols[src]))
         else:
@@ -528,8 +520,9 @@ def test_ordinary_check_matches_restriction_on_catalog(ref):
 # ---------------------------------------------------------------------------
 # the integer kernel against the field kernel
 #
-# The reference below is the elimination over the field Q(zeta_n): every
-# pivot and every point key is normalized by a field inverse.  Phi_12 =
+# The reference below is the elimination over the field Q(zeta_n), in the
+# arithmetic of `field_reference`: every pivot and every point key is
+# normalized by a field inverse.  Phi_12 =
 # x^4 - x^2 + 1 and Phi_15 fold products in ways the benchmark's
 # conductors 1, 3 and 4 never do, and Phi_6 = x^2 - x + 1 is the one
 # phi = 2 ring whose closed forms carry c1 = -1.
@@ -537,50 +530,11 @@ def test_ordinary_check_matches_restriction_on_catalog(ref):
 KERNEL_CONDUCTORS = (1, 3, 4, 5, 6, 8, 12, 15, 24)
 
 
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _poly_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, [-c for c in _poly_mul(q, s1)])
-        t0, t1 = t1, _poly_add(t0, [-c for c in _poly_mul(q, t1)])
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def inv(x):
-    """The multiplicative inverse of x in Q(zeta_n), by extended Euclid
-    against Phi_n."""
-    a = _trim(list(x.coeffs))
-    if not a:
-        raise ZeroDivisionError("inverse of zero in Q(zeta_n)")
-    g, s, _ = _poly_ext_gcd(a, list(cyclotomic_polynomial(x.conductor)))
-    # Phi_n is irreducible over Q, so gcd with any nonzero element is 1
-    assert g == [Fraction(1)], "cyclotomic polynomial not coprime to element"
-    return CyclotomicNumber(x.conductor, s)
-
-
 def field_conjugate(x, k):
     """The image of x under the automorphism zeta -> zeta^k."""
     n = x.conductor
-    return sum((CyclotomicNumber(n, [0] * (j * k % n) + [c])
-                for j, c in enumerate(x.coeffs)), zero(n))
+    return sum((FieldNumber(n, [0] * (j * k % n) + [c])
+                for j, c in enumerate(x.coeffs)), FieldNumber(n, []))
 
 
 def field_reduce(basis, vector):
@@ -615,7 +569,7 @@ def field_point_key(column):
 
 class FieldMatroid:
     """Rank, closure, points and contraction by field elimination, on
-    columns of CyclotomicNumbers given as a dict label -> column in
+    columns of FieldNumbers given as a dict label -> column in
     ground order."""
 
     def __init__(self, columns):
@@ -690,12 +644,12 @@ def test_adj_times_element_is_its_norm(n):
         a = [rng.randint(-bound, bound) for _ in range(phi)]
         if not any(a):
             continue
-        x, norm = CyclotomicNumber(n, a), one(n)
+        x, norm = FieldNumber(n, a), FieldNumber(n, [1])
         for k in units:
             norm = norm * field_conjugate(x, k)
         N = norm.coeffs[0]
         assert N != 0 and N.denominator == 1
-        assert norm == CyclotomicNumber(n, [N])
+        assert norm == FieldNumber(n, [N])
         assert ring.times(a, ring.adj(a)) == [N] + [0] * (phi - 1)
 
 
@@ -808,12 +762,12 @@ def test_integer_kernel_dense_rank_8(n):
     rng = random.Random(8)
 
     def scalar():
-        return CyclotomicNumber(n, [Fraction(rng.randint(-9, 9),
+        return FieldNumber(n, [Fraction(rng.randint(-9, 9),
                                              rng.randint(1, 9))
                                     for _ in range(euler_phi(n))])
 
     cols = [tuple(scalar() for _ in range(8)) for _ in range(9)]
-    zeta = CyclotomicNumber.zeta(n)
+    zeta = FieldNumber(n, [0, 1])
     a, b = scalar(), scalar()
     cols.append(tuple(a * x + b * y for x, y in zip(cols[0], cols[5])))
     cols.append(tuple(-(zeta * zeta * zeta * x) for x in cols[3]))
@@ -840,12 +794,12 @@ def test_integer_kernel_dense_4x8_high_phi(n, bound):
     rng = random.Random(n)
 
     def scalar():
-        return CyclotomicNumber(n, [Fraction(rng.randint(-bound, bound),
+        return FieldNumber(n, [Fraction(rng.randint(-bound, bound),
                                              rng.randint(1, bound))
                                     for _ in range(euler_phi(n))])
 
     cols = [tuple(scalar() for _ in range(4)) for _ in range(5)]
-    zeta5 = CyclotomicNumber(n, [0] * 5 + [1])
+    zeta5 = FieldNumber(n, [0] * 5 + [1])
     a, b = scalar(), scalar()
     cols.append(tuple(a * x + b * y for x, y in zip(cols[0], cols[1])))
     cols.append(tuple(zeta5 * x for x in cols[2]))
@@ -900,7 +854,7 @@ def test_closure_settles_a_zero_dot_by_reduction(monkeypatch, n, d):
     phi = euler_phi(n)
 
     def column():
-        return [CyclotomicNumber(n, [rng.randint(-3, 3) for _ in range(phi)])
+        return [FieldNumber(n, [rng.randint(-3, 3) for _ in range(phi)])
                 for _ in range(d)]
 
     a, b = column(), column()
@@ -914,7 +868,7 @@ def test_closure_settles_a_zero_dot_by_reduction(monkeypatch, n, d):
     i, j = [t for t in range(d * phi) if t not in pivots][:2]
     flat = [0] * (d * phi)
     flat[i], flat[j] = dual[j], -dual[i]
-    x = [CyclotomicNumber(n, flat[t:t + phi]) for t in range(0, d * phi, phi)]
+    x = [FieldNumber(n, flat[t:t + phi]) for t in range(0, d * phi, phi)]
     rep = representation_from_rows(zip(a, b, c, x), n, ("a", "b", "c", "x"))
     columns = dict(zip(rep.labels, (v for _, v in rep.columns)))
     assert dot(dual, columns["c"]) == 0 and dot(dual, columns["x"]) == 0

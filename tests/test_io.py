@@ -11,12 +11,13 @@ from flatkit.catalog import (
     uniform,
     uniform_power,
 )
-from flatkit.errors import MatrixParseError
+from flatkit.errors import MatrixParseError, UsageError
 from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
     Matroid,
     parse_matrix,
     representation_from_rows,
+    save_matrix,
     write_matrix,
 )
 
@@ -49,6 +50,21 @@ def test_roundtrip_identity(rep):
     again = parse_matrix(text)
     assert again == rep
     assert write_matrix(again) == text
+
+
+@pytest.mark.parametrize("label", ["a b", "", " a", "a\tb", "a\nb",
+                                   "a\u00a0b"])
+def test_unreadable_label_is_refused_before_writing(label, tmp_path):
+    """The labels line is read back split on whitespace, so a label that
+    is empty or holds whitespace would not round-trip; nothing is
+    written for it, not even an empty file."""
+    rep = representation_from_rows([[1, 2]], 1, ["p", label])
+    with pytest.raises(UsageError, match="empty or holds whitespace"):
+        write_matrix(rep)
+    path = tmp_path / "m.mat"
+    with pytest.raises(UsageError):
+        save_matrix(rep, path)
+    assert not path.exists()
 
 
 def test_parse_default_labels():

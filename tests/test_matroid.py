@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from field_reference import FieldNumber
 from flatkit.catalog import ag23, ag23_power, uniform
 from flatkit.cyclotomic import CyclotomicNumber, euler_phi
 from flatkit.errors import (
@@ -48,11 +49,11 @@ def det(rows):
 
 
 def field_column(rep, label):
-    """The column of `label` as CyclotomicNumber entries."""
+    """The column of `label` as FieldNumber entries."""
     den, v = rep.columns[rep.labels.index(label)]
     phi = euler_phi(rep.conductor)
-    return [CyclotomicNumber(rep.conductor,
-                             [Fraction(c, den) for c in v[i:i + phi]])
+    return [FieldNumber(rep.conductor,
+                        [Fraction(c, den) for c in v[i:i + phi]])
             for i in range(0, len(v), phi)]
 
 
@@ -288,9 +289,11 @@ def test_two_lines_direct_sum():
     rep = two_lines()
     M = Matroid(rep)
     assert M.rank() == 4 and len(M.ground) == 6
-    l1 = M.as_flat([e for e in M.ground if e.startswith("a.")])
-    l2 = M.as_flat([e for e in M.ground if e.startswith("b.")])
-    full = M.as_flat(M.ground)
+    a = [e for e in M.ground if e.startswith("a.")]
+    b = [e for e in M.ground if e.startswith("b.")]
+    l1, l2, full = M.closure(a), M.closure(b), M.closure(M.ground)
+    assert list(l1.elements) == a and list(l2.elements) == b
+    assert full.elements == M.ground
     assert l1.rank + l2.rank == full.rank
 
 
@@ -312,7 +315,8 @@ def test_summand_ground_sets_are_flats_and_ranks_add():
     assert M.rank() == 6 and len(M.ground) == 18
     for pfx in ("x.", "y."):
         block = [e for e in M.ground if e.startswith(pfx)]
-        fl = M.as_flat(block)
+        fl = M.closure(block)
+        assert list(fl.elements) == block
         assert fl.rank == 3
 
 

@@ -42,9 +42,8 @@ def check_witness(M, w):
     assert fresh.rank(w.point.elements) == 1
     assert fresh.rank(w.complement.elements) == w.flat.rank - 1
     assert fresh.rank(w.flat.elements) == w.flat.rank
-    assert fresh.is_flat(w.flat.elements)
-    assert fresh.is_flat(w.point.elements)
-    assert fresh.is_flat(w.complement.elements)
+    for part in (w.flat, w.point, w.complement):
+        assert set(fresh.closure(part.elements).elements) == set(part.elements)
 
 
 # -- two-point lines ---------------------------------------------------------
@@ -75,7 +74,8 @@ def test_two_point_line_requires_simple():
 
 def test_two_point_line_is_ordinary():
     M = Matroid(uniform(2, 2))
-    line = M.as_flat(M.ground)
+    line = M.closure(M.ground)
+    assert line.elements == M.ground
     w = is_ordinary(M, line)
     assert w is not None
     assert w.point.rank == 1 and w.complement.rank == 1
@@ -84,13 +84,16 @@ def test_two_point_line_is_ordinary():
 
 def test_three_point_line_not_ordinary():
     M = Matroid(uniform(2, 3))
-    assert is_ordinary(M, M.as_flat(M.ground)) is None
+    line = M.closure(M.ground)
+    assert line.elements == M.ground
+    assert is_ordinary(M, line) is None
 
 
 def test_motzkin_plane_point_plus_line():
     M = Matroid(motzkin())
     line1 = [e for e in M.ground if e.startswith("a.")]
-    plane = M.as_flat(line1 + ["b.e1"])
+    plane = M.closure(line1 + ["b.e1"])
+    assert set(plane.elements) == set(line1 + ["b.e1"])
     w = is_ordinary(M, plane)
     assert w is not None
     assert w.point.elements == ("b.e1",)
@@ -110,7 +113,9 @@ def test_is_ordinary_rejects_nonflat():
 
 def test_is_elementary():
     M2 = Matroid(uniform(2, 2))
-    assert is_elementary(M2, M2.as_flat(M2.ground))
+    line = M2.closure(M2.ground)
+    assert line.elements == M2.ground
+    assert is_elementary(M2, line)
     M3 = Matroid(ag23())
     for line in M3.flats_of_rank(2):
         assert not is_elementary(M3, line)
@@ -171,7 +176,9 @@ def test_constructive_k3_random():
     flat = w.flat
     assert flat.rank == 3
     fresh = Matroid(rep)
-    assert is_ordinary(fresh, fresh.as_flat(flat.elements)) is not None
+    closed = fresh.closure(flat.elements)
+    assert set(closed.elements) == set(flat.elements)
+    assert is_ordinary(fresh, closed) is not None
     # brute oracle agrees a witness exists
     assert find_ordinary_flat_brute(Matroid(rep), 3) is not None
 
