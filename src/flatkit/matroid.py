@@ -661,11 +661,11 @@ class Matroid:
     # -- flats -------------------------------------------------------------
 
     def flats_of_rank(self, k: int, budget: int = DEFAULT_CLOSURE_BUDGET, *,
-                      max_size=None):
+                      free=False):
         """An iterator over the rank-k flats, each once, canonically
-        sorted (by the ground positions of their elements); with
-        `max_size`, only those with at most `max_size` elements.  The
-        walk runs as the iterator advances.
+        sorted (by the ground positions of their elements); with `free`,
+        only those with k elements.  The walk runs as the iterator
+        advances.
 
         The flats are reached by a walk down chains of flats
         {} = C_0 < C_1 < ... < C_k, each covering the one before.  The
@@ -675,14 +675,13 @@ class Matroid:
         a chain is the closure chain of the greedy basis of C_k, so every
         flat of rank at most k is formed exactly once, and the walk,
         depth first with points in order of first element, meets the
-        rank-k flats in canonical order.  Every step of a chain adds at
-        least one element, so at a rank-r flat C the walk skips a point P
-        with len(C) + len(P) + (k - r - 1) > max_size: no rank-k flat
-        that small lies beyond it.
+        rank-k flats in canonical order.
 
-        With max_size = k every flat on a chain that can still end in a
-        rank-k flat has as many elements as its rank: it is free
-        (independent and closed), and so is each of its subsets.  In
+        Every step of a chain adds at least one element, so a rank-k flat
+        with k elements lies only beyond flats with as many elements as
+        their ranks: with `free`, the walk skips a point of more than one
+        element.  Every flat on its chains is free (independent and
+        closed), and so is each of its subsets.  In
         particular any two elements of such a flat form a two-point line,
         and each element e outside C of it is a single-element point {e}
         of M/C.  So at a rank-r flat C, r >= 1 and r + 1 < k, the walk
@@ -691,9 +690,10 @@ class Matroid:
         M/C and partners of b ({b, e} is a flat): each chain through C + b
         adds such elements.  The partners of b are the single-element
         points of M/{b}, found once per walk from the elements' own
-        columns.  This pair test starts only once the walk has gone down
-        into a flat and found nothing below it, so a walk whose first
-        chain ends in a rank-k flat does no work for it.
+        columns.  This pair test starts only once the walk has come back
+        up from a flat, so a walk stopped at its first rank-k flat, as the
+        scans stop, does no work for it unless a chain before that flat
+        ended short of rank k.
 
         `budget` bounds the number of flats the walk forms, at ranks 1..k;
         each one is counted in `flats_formed`, a cover the pair test
@@ -711,16 +711,11 @@ class Matroid:
             return iter([Flat((), 0)])
         ring, meter, ground = self._ring, self._meter, self.ground
         limit = meter.flats + budget
-        # without a bound, a cap no chain reaches: no flat has more than
-        # len(ground) elements
-        cap = len(ground) + k if max_size is None else max_size
-        free = max_size == k
         root = {i: (self._columns[e], self._points[e])
                 for i, e in enumerate(ground)}
         partners = {}
         below = {}  # frames of a partner search not yet stepped into
-        hits = 0
-        barren = False  # a frame the walk went down into has yielded nothing
+        barren = False  # the walk has come back up from a frame
 
         # At the flat C (ground positions, sorted) every element i outside
         # C carries its column reduced against an echelon basis of C, made
@@ -761,20 +756,18 @@ class Matroid:
             return partners[b]
 
         def walk(flat, rank, last, frame):
-            nonlocal hits, barren
+            nonlocal barren
             carried, points = frame
             single = None
             for row, point in points.items():
                 first = point[0]
-                if (first <= last
-                        or len(flat) + len(point) + (k - rank - 1) > cap):
+                if first <= last or (free and len(point) > 1):
                     continue
                 meter.flats += 1
                 if meter.flats > limit:
                     raise BudgetExceededError(f"flat budget {budget} exceeded")
                 cover = tuple(sorted(flat + tuple(point)))
                 if rank + 1 == k:
-                    hits += 1
                     yield Flat(tuple(ground[i] for i in cover), k)
                     continue
                 if barren and rank:
@@ -783,12 +776,11 @@ class Matroid:
                     if (((single & mates(first)) >> first + 1).bit_count()
                             < k - rank - 1):
                         continue
-                before = hits
                 down = below.pop(first, None) if rank == 0 else None
                 if down is None:
                     down = descend(carried, row, set(point))
                 yield from walk(cover, rank + 1, first, down)
-                barren = barren or (free and hits == before)
+                barren = free
 
         return walk((), 0, -1, (root, points_of(root)))
 
@@ -834,7 +826,8 @@ def parse_matrix(text: str) -> Representation:
         raise MatrixParseError("file too short: need conductor and size lines")
     lineno, first = lines[0]
     parts = first.split()
-    if len(parts) != 2 or parts[0] != "conductor" or not parts[1].isdigit():
+    # isdecimal, not isdigit: int() refuses a superscript digit such as "³"
+    if len(parts) != 2 or parts[0] != "conductor" or not parts[1].isdecimal():
         raise MatrixParseError("expected 'conductor <n>'", line=lineno)
     conductor = int(parts[1])
     if conductor < 1:
@@ -859,6 +852,8 @@ def parse_matrix(text: str) -> Representation:
         if len(labels) != m:
             raise MatrixParseError(
                 f"expected {m} labels, got {len(labels)}", line=lineno)
+        if len(set(labels)) != m:
+            raise MatrixParseError("labels must be unique", line=lineno)
         rest = rest[1:]
     if not m and not rest:
         # a matrix with no columns is written as d blank rows

@@ -175,15 +175,15 @@ def is_elementary(M: Matroid, F: Flat) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def _scan_slice(M, k, budget, test, max_size=None):
+def _scan_slice(M, k, budget, test, free=False):
     """The first truthy test(flat) over the canonical rank-k slice, or
-    over its flats of at most `max_size` elements, or None; the walk
-    stops at that flat."""
+    with `free` over its flats of k elements, or None; the walk stops at
+    that flat."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
     if not (1 <= k <= M.rank()):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
-    walk = M.flats_of_rank(k, budget=budget, max_size=max_size)
+    walk = M.flats_of_rank(k, budget=budget, free=free)
     return next(filter(None, map(test, walk)), None)
 
 
@@ -198,11 +198,9 @@ def find_elementary_flat_brute(M: Matroid, k: int,
                                budget: int = DEFAULT_CLOSURE_BUDGET):
     """First elementary flat in the canonical rank-k slice, or None.
     The scan runs on a simple matroid, whose points are its elements, so
-    a rank-k flat is elementary iff it has k elements, and the walk,
-    bounded by that size, follows only chains whose flats have as many
-    elements as their ranks."""
-    return _scan_slice(M, k, budget, lambda fl: fl if len(fl) == k else None,
-                       max_size=k)
+    a rank-k flat is elementary iff it has k elements: it is the free
+    walk's first flat."""
+    return _scan_slice(M, k, budget, lambda fl: fl, free=True)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +307,11 @@ def _constructive(M, k, trace, limit):
 
     # claim-1 case split: prefer z outside the base flat
     ordered_p = N._order(P)
-    zw = None
     outside = [e for e in ordered_p if e not in f_set]
-    if outside:
-        for z in outside:
-            for w in (y, x):
-                if len(N.closure([z, w]).elements) == 2:
-                    zw = (z, w)
-                    break
-            if zw:
-                break
-    else:
-        z = ordered_p[0]
-        if len(N.closure([z, x]).elements) == 2:
-            zw = (z, x)
+    pairs = ([(z, w) for z in outside for w in (y, x)] if outside
+             else [(ordered_p[0], x)])
+    zw = next((pair for pair in pairs
+               if len(N.closure(pair).elements) == 2), None)
     _require(zw is not None, "claim-1 two-point line not found")
     z, w = zw
     if w == y:

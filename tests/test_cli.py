@@ -570,6 +570,23 @@ def test_file_conductor_above_bound_exit_2(capsys, tmp_path):
     assert err.startswith("parse error: conductor 1000003") and "line 1" in err
 
 
+def test_file_conductor_superscript_digit_exit_2(capsys, tmp_path):
+    """A superscript digit passes str.isdigit but not int()."""
+    path = tmp_path / "sup.mat"
+    path.write_text("conductor ³\nsize 1 1\n1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: expected 'conductor <n>' (line 1)\n"
+
+
+def test_file_repeated_label_exit_2(capsys, tmp_path):
+    path = tmp_path / "twice.mat"
+    path.write_text("conductor 1\nsize 1 2\nlabels a a\n1 2\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: labels must be unique (line 3)\n"
+
+
 def test_catalog_export_unwritable_path_exit_3(capsys, tmp_path):
     path = tmp_path / "nodir" / "x.mat"
     code, out, err = run(capsys, "catalog", "--export", "ag23", str(path))
@@ -689,7 +706,7 @@ MATRIX_FILE = "in.mat"
 BASE_TEXTS = [write_matrix(rep) for rep in (
     ag23(), motzkin(), uniform(3, 5), random_instance(3, 6, 4, seed=1))]
 PIECES = ["", "0", "1", "7", "-", "/", "/0", "z", "^", "^99", " ", "\n",
-          "x", "labels a", "size", "conductor", "9999999999", "\x00"]
+          "x", "labels a", "size", "conductor", "9999999999", "\x00", "³"]
 
 
 def _opt(flag, values):
@@ -780,6 +797,7 @@ def exit_code(argv):
 @example(["analyze", "random:4,8,1,0,0"], "")
 @example(["verify", "--suite", "corollary", "--k", "0"], "")
 @example(["verify", "--suite", "corollary", "--k", "-1"], "")
+@example(["analyze", MATRIX_FILE], "conductor ³\nsize 1 1\n1\n")
 @given(cli_argv(), matrix_texts())
 def test_cli_fuzz_documented_exit_codes(argv, text):
     cwd = os.getcwd()

@@ -373,48 +373,20 @@ def test_flat_walk_first_flat_forms_one_chain(case):
         assert first == list(M.flats_of_rank(k))[0]
 
 
-def assert_bounded_walk(M, ranks):
-    """flats_of_rank(k, max_size=s) is flats_of_rank(k) cut to the flats
-    of at most s elements, for every s up to one past the largest, and a
+def assert_free_walk(M, ranks):
+    """flats_of_rank(k, free=True), the walk with the pair test, is the
+    whole walk cut to its flats with k elements, order included, and a
     budget of exactly the number of flats it forms is the least that
     completes."""
     for k in ranks:
-        flats = list(M.flats_of_rank(k))
-        for s in range(max(map(len, flats)) + 2):
-            before = M.flats_formed
-            bounded = list(M.flats_of_rank(k, max_size=s))
-            formed = M.flats_formed - before
-            assert bounded == [fl for fl in flats if len(fl) <= s]
-            if formed:
-                with pytest.raises(BudgetExceededError):
-                    list(M.flats_of_rank(k, budget=formed - 1, max_size=s))
-            assert list(M.flats_of_rank(k, budget=formed,
-                                        max_size=s)) == bounded
-
-
-@settings(max_examples=60, deadline=None)
-@given(degenerate())
-def test_bounded_walk_is_the_walk_cut_by_size(case):
-    rep, _ = case
-    M = Matroid(rep)
-    M = M.restrict([e for e in M.ground if e not in M.loops()])
-    assert_bounded_walk(M, range(M.rank() + 1))
-
-
-@pytest.mark.parametrize("ref, top", [
-    ("ag23_power:2", 6), ("ag23_power:3", 4), ("uniform_power:2,3,3", 6)])
-def test_bounded_walk_is_the_walk_cut_by_size_on_catalog(ref, top):
-    """Every rank up to `top`: ag23_power:3 has rank 9, and its full walk
-    to rank 9 forms about 12,000 flats for each bound."""
-    assert_bounded_walk(Matroid(build_ref(ref)), range(top + 1))
-
-
-def assert_free_walk(M, ranks):
-    """flats_of_rank(k, max_size=k), the walk with the pair test, is the
-    whole walk cut to its flats with k elements, order included."""
-    for k in ranks:
-        assert list(M.flats_of_rank(k, max_size=k)) == [
-            fl for fl in M.flats_of_rank(k) if len(fl) == k]
+        before = M.flats_formed
+        free = list(M.flats_of_rank(k, free=True))
+        formed = M.flats_formed - before
+        assert free == [fl for fl in M.flats_of_rank(k) if len(fl) == k]
+        if formed:
+            with pytest.raises(BudgetExceededError):
+                list(M.flats_of_rank(k, budget=formed - 1, free=True))
+        assert list(M.flats_of_rank(k, budget=formed, free=True)) == free
 
 
 def loopless(rep):
