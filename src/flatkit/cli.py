@@ -214,7 +214,15 @@ def _verify_trial(suite, M, k):
         return witness, ok
     if suite == "corollary":
         fl = find_elementary_flat(M, k)
-        return fl, fl is not None
+        if fl is None:
+            return fl, False
+        # recheck on a fresh matroid as above: the flat must be closed
+        # there, of rank k and with k points
+        fresh = Matroid(M.to_representation())
+        closed = fresh.closure(fl.elements)
+        ok = (set(closed.elements) == set(fl.elements) and closed.rank == k
+              and is_elementary(fresh, closed))
+        return fl, ok
     raise UsageError(f"unknown suite {suite!r}")
 
 

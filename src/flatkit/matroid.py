@@ -59,11 +59,24 @@ DEFAULT_CLOSURE_BUDGET = 10**7
 
 # Largest conductor a matrix file may declare.  Rank work grows steeply
 # with phi(n), most of it in adj, the product of the phi(n) - 1 other
-# conjugates of each pivot and point lead.  For a dense 4x8 matrix with
-# coordinates randint(-5, 5) / randint(1, 4), in-process `analyze` took
-# 0.15 s at n = 23 and 2.3 s at n = 37, and `analyze --flats 2` 0.98 s
-# and 9.8 s (medians of 3 runs, 2-vCPU VM, Python 3.11).
+# conjugates of each pivot and point lead.  For dense 4x8 matrices with
+# coordinates randint(-5, 5) / randint(1, 4) at n = 23, in-process
+# `analyze` took 0.22-0.27 s and `analyze --flats 2` 1.25-1.58 s (three
+# matrices, one run each, 2-vCPU VM, Python 3.11).
 MAX_FILE_CONDUCTOR = 24
+
+# Most columns a matrix file may declare, and most integers in one of its
+# columns, rows x phi(n).  Every file flatkit writes is admitted: a
+# catalog export has at most 64 columns and a verify or search dump at
+# most 72, at phi(n) <= 2, and neither has more rows than columns.  On
+# dense matrices with coordinates drawn as the trial generator draws
+# them, randint(-10, 10) / randint(1, 10), in-process `analyze` (rank
+# and simplicity) of the slowest admitted shapes took 14.4 s at 72 x 72
+# over Q(zeta_3), 10.8 s over Q(i), 5.8-6.6 s at 6 x 72 (n = 23),
+# 8 x 72 (n = 19) and 12 x 72 (n = 13), and 3.1 s at 144 x 72 over Q
+# (one run each, same VM); a refused 10 x 30 file at n = 23 took 7.8 s.
+MAX_FILE_COLUMNS = 72
+MAX_FILE_COLUMN_LENGTH = 144
 
 
 @dataclass(frozen=True)
@@ -217,6 +230,13 @@ class _Ring:
     def shifts(self, v) -> list:
         """[v, zeta*v, ..., zeta^(phi-1)*v] for a flat vector v, so that
         a*v is the sum of a_j times the j-th one for an element a."""
+        if self.phi == 2:
+            # zeta^2 = -c0 - c1*zeta, so zeta*(x + y*zeta) is
+            # -c0*y + (x - c1*y)*zeta, as in `times`
+            c0, c1 = self.low
+            pairs = iter(v)
+            return [v, [c for x, y in zip(pairs, pairs)
+                        for c in (-c0 * y, x - c1 * y)]]
         out = [v]
         for _ in range(self.phi - 1):
             out.append(self._times_zeta(out[-1]))
@@ -379,10 +399,13 @@ def _step_down(ring: _Ring, step, carried, inside) -> dict:
     return down
 
 
-def _echelon(ring: _Ring, vectors, basis=()) -> list:
+def _echelon(ring: _Ring, vectors, basis=(), stop=None) -> list:
     """Echelon basis of the span of flat `vectors` and of the echelon
     `basis` they extend (a copy of it; the one given is not changed),
-    stopping at full row rank.
+    stopping at full row rank or, if `stop` is given, as soon as it has
+    `stop` rows.  `vectors` is read in order and no further than the
+    vector that gives the last row, so an iterator is left at the first
+    vector not taken.
 
     A basis is a list of (at, N, shifts) triples.  Each row is a reduced
     vector multiplied by adj of its first nonzero entry, the pivot,
@@ -405,7 +428,7 @@ def _echelon(ring: _Ring, vectors, basis=()) -> list:
             continue
         row = _normalized(ring, v, at)
         basis.append((at, row[at], ring.shifts(row)))
-        if len(basis) * phi == len(v):
+        if len(basis) * phi == len(v) or len(basis) == stop:
             break
     return basis
 
@@ -490,7 +513,10 @@ class Matroid:
         self._denominators = {e: den for e, (den, _) in zip(labels, columns)}
         self._columns = {e: col for e, (_, col) in zip(labels, columns)}
         self._position = {e: j for j, e in enumerate(self.ground)}
-        self._ground_basis = None
+        # the ground echelon so far and the ground labels not yet taken
+        # into it, None once it is complete
+        self._ground_basis = []
+        self._ground_rest = iter(self.ground)
         self._meter = _Meter() if meter is None else meter
         if points is None:
             points = [_point_key(self._ring, col) for _, col in columns]
@@ -525,28 +551,44 @@ class Matroid:
 
     def _basis(self, labels):
         """Echelon basis of the columns of `labels`, taken in ground order."""
-        return self._extend((), labels)
+        return self._extend((), self._order(labels))
 
-    def _extend(self, basis, labels):
+    def _extend(self, basis, labels, stop=None):
         """The echelon `basis` of some span extended by the columns of
-        `labels`, taken in ground order: a new echelon basis of the span
-        of both."""
+        `labels`, given in ground order: a new echelon basis of the span
+        of both, or, with `stop`, the first `stop` rows of it; an iterator
+        `labels` is left at the first label not taken (`_echelon`)."""
         self._meter.echelons += 1
-        return _echelon(self._ring,
-                        [self._columns[e] for e in self._order(labels)], basis)
+        return _echelon(self._ring, map(self._columns.__getitem__, labels),
+                        basis, stop)
 
     def rank(self, labels=None) -> int:
         if labels is not None:
             return len(self._basis(self._labels(labels)))
         return len(self._prefix_basis())
 
-    def _prefix_basis(self):
+    def rank_at_least(self, r: int) -> bool:
+        """rank() >= r, read off the ground echelon built to at most r
+        rows; an r above the row count or the element count builds
+        nothing."""
+        if r > self._rows or r > len(self.ground):
+            return False
+        return len(self._prefix_basis(r)) >= r
+
+    def _prefix_basis(self, r=None):
         """The echelon basis of all the columns, taken in ground order,
-        built once.  Its first r rows are the echelon basis of the
-        shortest ground prefix of rank r: the build reaches that prefix's
-        last column with exactly those rows."""
-        if self._ground_basis is None:
-            self._ground_basis = self._basis(self.ground)
+        built only as far as asked: at least its first r rows (all of
+        them if it has fewer, or if r is None).  It is kept and extended
+        from the first column it has not taken, so its rows are those of
+        one build.  Its first t rows are the echelon basis of the shortest
+        ground prefix of rank t: the build reaches that prefix's last
+        column with exactly those rows."""
+        rest = self._ground_rest
+        if rest is not None and (r is None or len(self._ground_basis) < r):
+            basis = self._extend(self._ground_basis, rest, r)
+            if r is None or len(basis) < r or len(basis) == self._rows:
+                self._ground_rest = None  # every column taken, or full rank
+            self._ground_basis = basis
         return self._ground_basis
 
     def closure(self, labels) -> Flat:
@@ -705,7 +747,7 @@ class Matroid:
         """
         if not self.is_loopless():
             raise UsageError("flats_of_rank requires a loopless matroid")
-        if k < 0 or k > self.rank():
+        if k < 0 or not self.rank_at_least(k):
             raise UsageError(f"flat rank {k} out of range 0..{self.rank()}")
         if k == 0:
             return iter([Flat((), 0)])
@@ -766,16 +808,16 @@ class Matroid:
                 meter.flats += 1
                 if meter.flats > limit:
                     raise BudgetExceededError(f"flat budget {budget} exceeded")
-                cover = tuple(sorted(flat + tuple(point)))
-                if rank + 1 == k:
-                    yield Flat(tuple(ground[i] for i in cover), k)
-                    continue
-                if barren and rank:
+                if barren and 0 < rank < k - 1:
                     if single is None:
                         single = singles(points)
                     if (((single & mates(first)) >> first + 1).bit_count()
                             < k - rank - 1):
                         continue
+                cover = tuple(sorted(flat + tuple(point)))
+                if rank + 1 == k:
+                    yield Flat(tuple(ground[i] for i in cover), k)
+                    continue
                 down = below.pop(first, None) if rank == 0 else None
                 if down is None:
                     down = descend(carried, row, set(point))
@@ -819,7 +861,9 @@ def write_matrix(rep: Representation) -> str:
 
 def parse_matrix(text: str) -> Representation:
     """The matrix of a matrix file.  The sizes are checked against the
-    rows, or the labels of a file with no rows, before anything is built."""
+    caps on the size line, before any label or row is read, and then
+    against the rows, or the labels of a file with no rows, before
+    anything is built."""
     raw = [ln.strip() for ln in text.splitlines()]
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
     if len(lines) < 2:
@@ -844,6 +888,15 @@ def parse_matrix(text: str) -> Representation:
         d, m = int(parts[1]), int(parts[2])
     except ValueError:
         raise MatrixParseError("size fields must be integers", line=lineno)
+    if m > MAX_FILE_COLUMNS:
+        raise MatrixParseError(
+            f"{m} columns exceed the maximum {MAX_FILE_COLUMNS}", line=lineno)
+    length = d * euler_phi(conductor)
+    if length > MAX_FILE_COLUMN_LENGTH:
+        raise MatrixParseError(
+            f"{d} rows at conductor {conductor} make columns of {length} "
+            f"integers, above the maximum {MAX_FILE_COLUMN_LENGTH}",
+            line=lineno)
     rest = lines[2:]
     labels = None
     if rest and rest[0][1].split()[0] == "labels":

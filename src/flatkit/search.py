@@ -129,10 +129,13 @@ def find_two_point_line(M: Matroid):
     g = M.ground
     for i in range(len(g)):
         for j in range(i + 1, len(g)):
-            cl = M.closure([g[i], g[j]])
+            # g[0] and g[1] are independent in a simple matroid, so the
+            # first two rows of the ground echelon are their span's basis
+            cl = (M._closure(frozenset(g[:2]), M._prefix_basis(2)[:2])
+                  if j == 1 else M.closure([g[i], g[j]]))
             if len(cl.elements) == 2:
                 return cl
-    if M.rank() >= 4:
+    if M.rank_at_least(4):
         raise InternalInconsistencyError(
             "rank >= 4 with no two-point line: impossible for matrix-defined "
             "input, so some rank computation is wrong")
@@ -181,7 +184,7 @@ def _scan_slice(M, k, budget, test, free=False):
     that flat."""
     if not M.is_simple():
         raise UsageError("brute search requires a simple matroid")
-    if not (1 <= k <= M.rank()):
+    if k < 1 or not M.rank_at_least(k):
         raise UsageError(f"k={k} out of range 1..{M.rank()}")
     walk = M.flats_of_rank(k, budget=budget, free=free)
     return next(filter(None, map(test, walk)), None)
@@ -224,7 +227,7 @@ def find_ordinary_flat_constructive(M: Matroid, k: int,
         raise UsageError("constructive search requires a simple matroid")
     if k < 2:
         raise UsageError("constructive search requires k >= 2")
-    if M.rank() < 4 * (k - 1):
+    if not M.rank_at_least(4 * (k - 1)):
         raise UsageError(
             f"rank {M.rank()} below 4(k-1) = {4 * (k - 1)}; "
             "only the brute oracle handles that range")
@@ -255,11 +258,11 @@ def _constructive(M, k, trace, limit):
     t = 4 * (k - 2)
     # the contraction flat is spanned by the first t greedy-basis
     # elements, which are those of the shortest ground prefix of rank t,
-    # and the first t rows of M's rank echelon are that prefix's echelon
+    # and the first t rows of M's ground echelon are that prefix's echelon
     # basis (M has rank above t, checked before this level), whose span
     # holds g[:t]; each span below is a known one plus some columns, so
     # its echelon basis extends that span's basis
-    basis = M._prefix_basis()[:t]
+    basis = M._prefix_basis(t)[:t]
     F, MF = M._contract(frozenset(M.ground[:t]), basis)
     line = find_two_point_line(MF.simplify()[0])  # rank >= 4 there
     a, b = line.elements
@@ -294,19 +297,19 @@ def _constructive(M, k, trace, limit):
     P = {e for e in N2.ground if cls_map[e] in p_reps}
     H = {e for e in N2.ground if cls_map[e] in h_reps}
 
-    k_basis = N._extend(line_basis, H)
+    ordered_p = N._order(P)
+    k_basis = N._extend(line_basis, N._order(H))
     K = N._closure(H | {x, y}, k_basis)
     _require(set(K.elements) == H | {x, y} and K.rank == k,
              "H with the line must be a rank-k flat")
-    pxy = N._closure(P | {x, y}, N._extend(line_basis, P))
+    pxy = N._closure(P | {x, y}, N._extend(line_basis, ordered_p))
     _require(set(pxy.elements) == P | {x, y} and pxy.rank == 3,
              "P with the line must be a plane")
-    hpxy = N._closure(H | P | {x, y}, N._extend(k_basis, P))
+    hpxy = N._closure(H | P | {x, y}, N._extend(k_basis, ordered_p))
     _require(set(hpxy.elements) == H | P | {x, y} and hpxy.rank == k + 1,
              "H, P and the line must span a rank-(k+1) flat")
 
     # claim-1 case split: prefer z outside the base flat
-    ordered_p = N._order(P)
     outside = [e for e in ordered_p if e not in f_set]
     pairs = ([(z, w) for z in outside for w in (y, x)] if outside
              else [(ordered_p[0], x)])
@@ -360,9 +363,10 @@ def find_elementary_flat(M: Matroid, k: int,
         raise UsageError("k must be at least 1")
     if k == 1 and M.ground:
         return M.closure([M.ground[0]])
-    # a k above the rank falls through to the scan, which refuses it
-    # before 4^(k-1) is computed
-    if k <= M.rank() and M.rank() >= 4 ** (k - 1):
+    # 4^(k-1) >= k, so one rank question settles both bounds; a k above
+    # the element count, and so above the rank, falls through to the
+    # scan, which refuses it before 4^(k-1) is computed
+    if k <= len(M.ground) and M.rank_at_least(4 ** (k - 1)):
         witness, _ = find_ordinary_flat_constructive(
             M, 4 ** (k - 2) + 1, budget=budget)
         sub = find_elementary_flat(M.restrict(witness.complement.elements),

@@ -330,6 +330,21 @@ def test_huge_declared_column_count_exit_2(capsys, tmp_path, rows):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("conductor, rows, cols", [(1, 1, 73), (3, 73, 1),
+                                                   (23, 7, 2)])
+def test_file_one_over_a_size_cap_exit_2(capsys, tmp_path, conductor, rows,
+                                         cols):
+    """A file with one column more than MAX_FILE_COLUMNS, or one row more
+    than MAX_FILE_COLUMN_LENGTH allows at its conductor, is a parse error
+    on its size line: nothing after that line is read."""
+    path = tmp_path / "big.mat"
+    path.write_text(f"conductor {conductor}\nsize {rows} {cols}\n"
+                    + ("1 " * cols + "\n") * rows)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.endswith("(line 2)\n")
+
+
 def test_binary_input_file_exit_2(capsys, tmp_path):
     path = tmp_path / "noise.mat"
     path.write_bytes(b"\xff\xfe\x00conductor")
@@ -441,9 +456,9 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     built, own = [], []
     extend, trial = Matroid._extend, cli._verify_trial
 
-    def counting_extend(self, basis, labels):
+    def counting_extend(self, *args):
         built.append(self)
-        return extend(self, basis, labels)
+        return extend(self, *args)
 
     def counting_trial(suite, M, k):
         start = len(built)
@@ -465,17 +480,21 @@ def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     (["search", "--conjecture", "1", "--k", "3", "--trials", "25"],
      {"flats_enumerated": 75}),
     (["verify", "--suite", "main-theorem", "--k", "3", "--trials", "1"],
-     {"rank_calls": 15, "flats_enumerated": 2}),
+     {"rank_calls": 14, "flats_enumerated": 2}),
     (["search", "--conjecture", "2", "--k", "3", "--trials", "10"],
      {"rank_calls": 20, "flats_enumerated": 30}),
-], ids=["search-c1-k3", "main-theorem-k3", "search-c2-k3"])
+    (["verify", "--suite", "kelly", "--trials", "1"],
+     {"rank_calls": 0, "flats_enumerated": 0}),
+], ids=["search-c1-k3", "main-theorem-k3", "search-c2-k3", "kelly"])
 def test_scans_stop_at_their_first_hit(capsys, argv, counts):
     """Each scan stops at its first hit: conjecture 1 forms one chain of
     three flats per instance (2,269 flats with whole slices), a
-    main-theorem trial builds or extends 15 echelon bases, and
-    conjecture 2 goes down one chain per instance, two echelons and
-    three flats, with no partner search: its walks never meet a frame
-    that yields nothing."""
+    main-theorem trial builds or extends 14 echelon bases, conjecture 2
+    goes down one chain per instance, two echelons and three flats, with
+    no partner search: its walks never meet a frame that yields nothing,
+    and a kelly trial's first pair is a two-point line, whose basis is
+    the first two rows of the ground echelon the generator built when it
+    checked the instance's rank: no echelon at all."""
     code, out, _ = run(capsys, *argv, "--seed", "0", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -520,6 +539,35 @@ def test_verify_main_theorem_recheck_failure_exit_4(
     assert f"dumped failing instance to {stem}.mat" in err
     _, M = next(trial_instances(8, 1, 0, 1, (12, 14)))
     assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
+
+
+@pytest.mark.parametrize("planted", ["three elements", "one element",
+                                     "whole ground set"])
+def test_verify_corollary_recheck_failure_exit_4(capsys, monkeypatch,
+                                                 tmp_path, planted):
+    """A corollary witness is rechecked on a matroid built afresh from
+    the matrix: three elements of a rank-4 instance (not a flat of rank
+    2), one element (a flat of rank 1) or the whole ground set (a flat of
+    rank 4) returned as an elementary line fails its trial: exit 4,
+    instance dumped."""
+    from flatkit.matroid import Flat
+
+    def planted_flat(M, k, budget=None):
+        elements = {"three elements": M.ground[:3],
+                    "one element": M.ground[:1],
+                    "whole ground set": M.ground}[planted]
+        return Flat(elements, k)
+
+    monkeypatch.setattr(cli, "find_elementary_flat", planted_flat)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "corollary", "--k",
+                         "2", "--trials", "1", "--seed", "0", "--json")
+    assert code == 4
+    doc = json.loads(out)
+    assert [r["outcome"] for r in doc["reports"]] == ["exhausted"]
+    stem = "failure-corollary-k2-seed0"
+    assert os.listdir(tmp_path) == [stem + ".mat"]
+    assert f"dumped failing instance to {stem}.mat" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,6 +38,7 @@ from flatkit.matroid import (
 from flatkit.search import (
     OrdinaryWitness,
     find_elementary_flat_brute,
+    find_two_point_line,
     is_elementary,
     is_ordinary,
 )
@@ -270,11 +271,78 @@ def assert_rank_echelon_prefixes(M, ranks):
             closed).to_representation()
 
 
+def first_two_point_line(M):
+    """The least pair of M's ground, in ground order, whose closure has
+    two elements, as that closure; None if there is none."""
+    g = M.ground
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            cl = M.closure([g[i], g[j]])
+            if len(cl.elements) == 2:
+                return cl
+    return None
+
+
+class ReadLog(dict):
+    """A matroid's column dict that logs the labels read through it."""
+
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.log = []
+
+    def __getitem__(self, label):
+        self.log.append(label)
+        return super().__getitem__(label)
+
+
+def assert_ground_echelon_in_steps(make):
+    """`make()` builds the same matroid afresh, with no echelon built.
+    For every r in 0..rows+1, on fresh matroids: `rank_at_least(r)` is
+    rank() >= r and builds nothing for an r of 0 or above the row or
+    element count; the ground echelon built to r rows is the first r rows
+    of the one built at once, and completed later it is that one, row for
+    row, from the same columns read once each in ground order; each build
+    or extension counts one echelon and a reread of rows built counts
+    none; and on the simplification, with its ground echelon built to r
+    rows first, the closure `find_two_point_line` takes of its first pair
+    off that echelon's first two rows is the closure of the first two
+    elements, and it finds the two-point line that closures of pairs
+    find."""
+    whole = make()
+    whole._columns = ReadLog(whole._columns)
+    full = whole._prefix_basis()
+    once = list(whole._columns.log)
+    rank, rows, size = len(full), whole._rows, len(whole.ground)
+    assert whole.rank() == rank and whole.rank_calls == 1
+    expected = first_two_point_line(whole.simplify()[0])
+    for r in range(rows + 2):
+        M = make()
+        assert M.rank_at_least(r) == (rank >= r)
+        assert M.rank_calls == (0 < r <= min(rows, size))
+        M = make()
+        M._columns = ReadLog(M._columns)
+        part = M._prefix_basis(r)
+        assert part == full[:r] and M.rank_calls == (r > 0)
+        assert M._prefix_basis(len(part)) == part
+        assert M.rank_at_least(len(part)) and M.rank_calls == (r > 0)
+        assert M._prefix_basis() == full and M._columns.log == once
+        assert M.rank_at_least(rank) and not M.rank_at_least(rank + 1)
+        assert M.rank_calls <= (r > 0) + 1
+        S = make().simplify()[0]
+        S._prefix_basis(r)
+        if len(S.ground) >= 2:
+            pair = frozenset(S.ground[:2])
+            assert (S._closure(pair, S._prefix_basis(2)[:2])
+                    == S.closure(S.ground[:2]))
+        assert find_two_point_line(S) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(degenerate())
 def test_rank_echelon_rows_are_the_prefix_bases(case):
     M = loopless(case[0])
     assert_rank_echelon_prefixes(M, range(M.rank() + 1))
+    assert_ground_echelon_in_steps(lambda: loopless(case[0]))
 
 
 @pytest.mark.parametrize("ref, t, length", [
@@ -287,6 +355,7 @@ def test_rank_echelon_rows_are_the_prefix_bases_on_catalog(ref, t, length):
     M = Matroid(build_ref(ref))
     assert len(shortest_prefix(M, t)) == length
     assert_rank_echelon_prefixes(M, range(M.rank() + 1))
+    assert_ground_echelon_in_steps(lambda: Matroid(build_ref(ref)))
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4])
@@ -651,10 +720,11 @@ def two_pass_step(at, value, shifts, v):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_phi2_closed_forms_match_the_general_route(n):
-    """At phi = 2 `adj` is the one other conjugate in closed form and a
-    `_reduce` step is one pass; both give the integers of the general
-    route, on coefficients up to 2^80 in size and on pivot entries with
-    a zero coordinate."""
+    """At phi = 2 `adj` is the one other conjugate in closed form, the
+    zeta shift of `shifts` is one pass and a `_reduce` step is one pass;
+    each gives the integers of the general route (the Galois table,
+    `_times_zeta`, two passes), on coefficients up to 2^80 in size and on
+    pivot entries with a zero coordinate."""
     ring, rng, big = _ring(n), random.Random(n), 2 ** 80
     assert ring.phi == 2
 
@@ -669,6 +739,7 @@ def test_phi2_closed_forms_match_the_general_route(n):
         d = rng.randint(1, 4)
         at = 2 * rng.randrange(d)
         raw = [c for _ in range(d) for c in element()]
+        assert ring.shifts(raw) == [raw, ring._times_zeta(raw)]
         row = matroid._normalized(ring, raw, at)
         assert row[at] != 0 and row[at + 1] == 0
         step = (at, row[at], ring.shifts(row))

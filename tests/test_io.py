@@ -3,6 +3,8 @@
 import pytest
 
 from flatkit.catalog import (
+    MAX_CATALOG_COLUMNS,
+    MAX_TRIAL_COLUMNS,
     ag23,
     ag23_power,
     motzkin,
@@ -13,8 +15,11 @@ from flatkit.catalog import (
 )
 from flatkit.errors import MatrixParseError, UsageError
 from flatkit.matroid import (
+    MAX_FILE_COLUMN_LENGTH,
+    MAX_FILE_COLUMNS,
     MAX_FILE_CONDUCTOR,
     Matroid,
+    Representation,
     parse_matrix,
     representation_from_rows,
     save_matrix,
@@ -114,13 +119,50 @@ def test_conductor_bound():
 
 @pytest.mark.parametrize("rows", [0, 1])
 def test_huge_declared_column_count_is_refused_before_any_label(rows):
-    """The size line alone does not bound the column count: a file with
-    a row is checked against that row's entries, and one with no rows
-    must list its labels."""
+    """A column count above the cap is refused on the size line, before
+    any label or row is read."""
     text = f"conductor 1\nsize {rows} {10**11}\n" + "1\n" * rows
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text)
-    assert exc.value.line == 2 + rows
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("conductor, rows, cols", [
+    (1, 1, MAX_FILE_COLUMNS + 1),
+    (1, MAX_FILE_COLUMN_LENGTH + 1, 1),
+    (3, MAX_FILE_COLUMN_LENGTH // 2 + 1, 1),
+    (23, MAX_FILE_COLUMN_LENGTH // 22 + 1, 1),
+])
+def test_file_one_over_a_size_cap_is_refused_on_the_size_line(conductor, rows,
+                                                              cols):
+    """One column too many, or one row too many for the integers a
+    column may hold at the conductor's phi(n), is refused on the size
+    line, however well formed the rest of the file is."""
+    def text(d, m):
+        return (f"conductor {conductor}\nsize {d} {m}\nlabels "
+                + " ".join(f"e{j}" for j in range(m)) + "\n"
+                + ("1 " * m + "\n") * d)
+
+    fits = parse_matrix(text(rows - 1, cols - 1))
+    assert (fits.rows, len(fits.labels)) == (rows - 1, cols - 1)
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text(rows, cols))
+    assert exc.value.line == 2
+
+
+def test_size_caps_admit_every_file_flatkit_writes():
+    """A catalog export has at most MAX_CATALOG_COLUMNS columns and a
+    trial dump at most MAX_TRIAL_COLUMNS, at phi(n) <= 2 and with no more
+    rows than columns; a dump of the largest such shape, 72 x 72 over
+    Q(i), reads back."""
+    assert MAX_FILE_COLUMNS >= max(MAX_CATALOG_COLUMNS, MAX_TRIAL_COLUMNS)
+    m = MAX_TRIAL_COLUMNS
+    assert MAX_FILE_COLUMN_LENGTH >= 2 * m
+    columns = tuple((j % 5 + 1, tuple((i * 7 + j * 3) % 11 - 5 if i != 2 * j
+                                      else 1 for i in range(2 * m)))
+                    for j in range(m))
+    rep = Representation(4, m, tuple(f"e{j + 1}" for j in range(m)), columns)
+    assert parse_matrix(write_matrix(rep)) == rep
 
 
 def test_columnless_rows_need_no_row_lines():
