@@ -586,8 +586,9 @@ class Matroid:
         rest = self._ground_rest
         if rest is not None and (r is None or len(self._ground_basis) < r):
             basis = self._extend(self._ground_basis, rest, r)
-            if r is None or len(basis) < r or len(basis) == self._rows:
-                self._ground_rest = None  # every column taken, or full rank
+            # a tuple iterator's length hint is the count of labels left
+            if len(basis) == self._rows or not operator.length_hint(rest):
+                self._ground_rest = None  # full rank, or every column taken
             self._ground_basis = basis
         return self._ground_basis
 
