@@ -11,15 +11,9 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import euler_phi
+from .cyclotomic import _integer_column, euler_phi
 from .errors import GenerationError, UnsatisfiableShapeError, UsageError
-from .matroid import (
-    Matroid,
-    Representation,
-    _integer_column,
-    direct_sum,
-    prefix_labels,
-)
+from .matroid import Matroid, Representation, direct_sum, prefix_labels
 
 
 def ag23() -> Representation:

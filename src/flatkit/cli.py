@@ -30,6 +30,7 @@ from .matroid import (
     Matroid,
     load_matrix,
     save_matrix,
+    write_matrix,
 )
 from .search import (
     SearchReport,
@@ -281,18 +282,30 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failures else EXIT_FOUND
 
 
+def _dump(what, path, text):
+    """Write `text`, the dump of `what`, to `path` and say so on stderr,
+    or say on stderr that it cannot be written.  Either way the command
+    keeps its exit code: its result is already out.  Notices go to
+    stderr, so that --json stdout stays one document."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write {path}: {exc.strerror or exc}\n")
+        return
+    sys.stderr.write(f"dumped {what} to {path}\n")
+
+
 def _dump_failure(suite, k, seed, M, trace=None):
-    """Write the matrix of a failed trial's matroid to the working
+    """Dump the matrix of a failed trial's matroid to the working
     directory, and beside it the construction trace of a failed theorem
-    check when it carries one.  The notices go to stderr, so that --json
-    stdout stays one document."""
+    check when it carries one."""
     stem = f"failure-{suite}-k{k}-seed{seed}"
-    save_matrix(M.to_representation(), stem + ".mat")
-    sys.stderr.write(f"dumped failing instance to {stem}.mat\n")
+    _dump("failing instance", stem + ".mat",
+          write_matrix(M.to_representation()))
     if trace is not None:
-        with open(stem + ".trace.json", "w") as fh:
-            json.dump(trace.to_json_dict(), fh)
-        sys.stderr.write(f"dumped construction trace to {stem}.trace.json\n")
+        _dump("construction trace", stem + ".trace.json",
+              json.dumps(trace.to_json_dict()))
 
 
 def cmd_search(args) -> int:
@@ -307,16 +320,14 @@ def cmd_search(args) -> int:
                f"rank {report.rank}: {report.mode} / {report.outcome} "
                f"({report.stats.flats_enumerated} flats, "
                f"{report.stats.rank_calls} rank calls)")
-    # dump notices go to stderr, so that --json stdout stays one document
+    name = f"c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
     if report.mode == "counterexample":
-        path = f"counterexample-c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
-        save_matrix(report.instance, path)
-        sys.stderr.write(f"dumped counterexample to {path}\n")
+        _dump("counterexample", "counterexample-" + name,
+              write_matrix(report.instance))
         return EXIT_COUNTEREXAMPLE
     if report.outcome == "budget exceeded":
-        path = f"failure-search-c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
-        save_matrix(report.instance, path)
-        sys.stderr.write(f"dumped budget-exceeded instance to {path}\n")
+        _dump("budget-exceeded instance", "failure-search-" + name,
+              write_matrix(report.instance))
         return EXIT_BUDGET
     return EXIT_FOUND
 

@@ -19,14 +19,9 @@ from flatkit.catalog import (
     trial_instances,
     uniform,
 )
-from flatkit.cyclotomic import CyclotomicNumber, euler_phi
+from flatkit.cyclotomic import CyclotomicNumber, _integer_column, euler_phi
 from flatkit.errors import GenerationError, UsageError
-from flatkit.matroid import (
-    Matroid,
-    Representation,
-    _integer_column,
-    representation_from_rows,
-)
+from flatkit.matroid import Matroid, Representation, representation_from_rows
 from flatkit.search import find_elementary_flat, find_two_point_line, is_ordinary
 
 

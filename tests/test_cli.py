@@ -446,6 +446,48 @@ def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == ["failure-kelly-k2-seed3000009.mat"]
 
 
+def test_unwritable_search_dump_keeps_exit_6(capsys, monkeypatch, tmp_path):
+    """A budget-exceeded instance whose dump path is taken by a
+    directory: the document is on stdout, the write error on stderr, and
+    the command still exits 6, with no traceback."""
+    path = "failure-search-c1-k2-seed0.mat"
+    (tmp_path / path).mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "search", "--conjecture", "1", "--k", "2",
+                         "--trials", "1", "--budget", "0", "--json")
+    assert code == 6
+    assert json.loads(out)["outcome"] == "budget exceeded"
+    assert err == f"cannot write {path}: Is a directory\n"
+    assert os.listdir(tmp_path) == [path]
+
+
+def test_unwritable_verify_dump_keeps_the_theorem_check_message(
+        capsys, monkeypatch, tmp_path):
+    """A failed theorem check whose instance dump path is taken by a
+    directory: the trace is still dumped beside it, and the run ends with
+    exit 4 and the check's own message."""
+    from flatkit.errors import InternalInconsistencyError
+    from flatkit.search import ConstructionTrace
+
+    def broken(M, k):
+        raise InternalInconsistencyError("planted failure",
+                                         trace=ConstructionTrace([]))
+
+    stem = "failure-main-theorem-k2-seed0"
+    (tmp_path / (stem + ".mat")).mkdir()
+    monkeypatch.setattr(cli, "find_ordinary_flat_constructive", broken)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem",
+                         "--k", "2", "--trials", "1", "--seed", "0")
+    assert code == 4 and out == ""
+    assert err.splitlines() == [
+        f"cannot write {stem}.mat: Is a directory",
+        f"dumped construction trace to {stem}.trace.json",
+        "internal inconsistency: planted failure"]
+    assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
+        {"levels": []}
+
+
 def test_verify_stats_count_the_work_in_minors(capsys, monkeypatch):
     """A main-theorem trial reports the flats formed and the echelon
     bases built or extended in the minors of its recursion, beyond those

@@ -20,15 +20,23 @@ from hypothesis import strategies as st
 
 from field_reference import FieldNumber, inv
 from flatkit.catalog import build_ref, trial_instances
-from flatkit.cyclotomic import euler_phi
+from flatkit.cyclotomic import (
+    _annihilator,
+    _normalized,
+    _pivot,
+    _point_key,
+    _primitive,
+    _reduce,
+    _ring,
+    _step_down,
+    euler_phi,
+)
 from flatkit.errors import BudgetExceededError, ContractNonFlatError
 from flatkit import matroid
 from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
     Flat,
     Matroid,
-    _annihilator,
-    _ring,
     direct_sum,
     parse_matrix,
     prefix_labels,
@@ -742,14 +750,14 @@ def test_phi2_closed_forms_match_the_general_route(n):
         at = 2 * rng.randrange(d)
         raw = [c for _ in range(d) for c in element()]
         assert ring.shifts(raw) == [raw, ring._times_zeta(raw)]
-        row = matroid._normalized(ring, raw, at)
+        row = _normalized(ring, raw, at)
         assert row[at] != 0 and row[at + 1] == 0
         step = (at, row[at], ring.shifts(row))
         v = [c for _ in range(d) for c in element()]
         f, g = v[at:at + 2]
         for lead in ([f, g], [0, g], [f, 0], [0, 0]):
             v[at:at + 2] = lead
-            assert matroid._reduce(ring, [step], v) == two_pass_step(*step, v)
+            assert _reduce(ring, [step], v) == two_pass_step(*step, v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -768,13 +776,13 @@ def test_walk_step_is_reduce_then_point_key(case, data):
     keys = [key for key in M._points.values() if key is not None]
     assume(keys)
     row = list(data.draw(st.sampled_from(keys)))
-    at = matroid._pivot(ring, row)
+    at = _pivot(ring, row)
     step = (at, row[at], ring.shifts(row))
     vectors = []
     for v in M._columns.values():
         for u in (list(v), ring._times_zeta(v)):
             vectors += [u, [-c for c in u]]
-    carried = {i: (v, matroid._point_key(ring, v))
+    carried = {i: (v, _point_key(ring, v))
                for i, v in enumerate(vectors)}
     inside = set(data.draw(st.lists(st.sampled_from(sorted(carried)),
                                     max_size=2)))
@@ -782,10 +790,10 @@ def test_walk_step_is_reduce_then_point_key(case, data):
     for i, pair in carried.items():
         if i not in inside:
             if any(pair[0][at:at + phi]):
-                v = matroid._primitive(matroid._reduce(ring, [step], pair[0]))
-                pair = v, matroid._point_key(ring, v)
+                v = _primitive(_reduce(ring, [step], pair[0]))
+                pair = v, _point_key(ring, v)
             expected[i] = pair
-    assert matroid._step_down(ring, step, carried, inside) == expected
+    assert _step_down(ring, step, carried, inside) == expected
 
 
 @settings(max_examples=60, deadline=None)
