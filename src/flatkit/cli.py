@@ -33,6 +33,7 @@ from .matroid import (
     write_matrix,
 )
 from .search import (
+    CONJECTURE_RANK,
     SearchReport,
     SearchStats,
     conjecture_instances,
@@ -169,11 +170,7 @@ def cmd_find_ordinary(args) -> int:
         w = find_ordinary_flat_brute(M, args.k, budget=args.budget)
     payload = {"mode": args.method, "k": args.k,
                "outcome": "witness found" if w else "exhausted",
-               "witness": None}
-    if w:
-        payload["witness"] = {"flat": list(w.flat.elements),
-                              "point": list(w.point.elements),
-                              "complement": list(w.complement.elements)}
+               "witness": w.to_json_dict() if w else None}
     if args.trace and trace is not None:
         payload["trace"] = trace.to_json_dict()
     _emit_find(args, payload)
@@ -193,12 +190,12 @@ def cmd_find_elementary(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-SUITE_RANK = {
-    "kelly": lambda k: 4,
-    "main-theorem": lambda k: 4 * (k - 1),
-    "corollary": lambda k: 4 ** (k - 1),
+# each suite's least k, and the rank of its trials at k
+SUITES = {
+    "kelly": (2, lambda k: 4),
+    "main-theorem": (2, lambda k: 4 * (k - 1)),
+    "corollary": (1, lambda k: 4 ** (k - 1)),
 }
-SUITE_MIN_K = {"kelly": 2, "main-theorem": 2, "corollary": 1}
 
 
 def _verify_trial(suite, M, k):
@@ -213,18 +210,17 @@ def _verify_trial(suite, M, k):
         fresh = Matroid(M.to_representation())
         ok = is_ordinary(fresh, Flat(witness.flat.elements, k)) is not None
         return witness, ok
-    if suite == "corollary":
-        fl = find_elementary_flat(M, k)
-        if fl is None:
-            return fl, False
-        # recheck on a fresh matroid as above: the flat must be closed
-        # there, of rank k and with k points
-        fresh = Matroid(M.to_representation())
-        closed = fresh.closure(fl.elements)
-        ok = (set(closed.elements) == set(fl.elements) and closed.rank == k
-              and is_elementary(fresh, closed))
-        return fl, ok
-    raise UsageError(f"unknown suite {suite!r}")
+    # the corollary suite
+    fl = find_elementary_flat(M, k)
+    if fl is None:
+        return fl, False
+    # recheck on a fresh matroid as above: the flat must be closed
+    # there, of rank k and with k points
+    fresh = Matroid(M.to_representation())
+    closed = fresh.closure(fl.elements)
+    ok = (set(closed.elements) == set(fl.elements) and closed.rank == k
+          and is_elementary(fresh, closed))
+    return fl, ok
 
 
 def cmd_verify(args) -> int:
@@ -233,15 +229,15 @@ def cmd_verify(args) -> int:
         k = 2
     elif k is None:
         raise UsageError(f"--k is required for suite {args.suite}")
-    if k < SUITE_MIN_K[args.suite]:
-        raise UsageError(
-            f"{args.suite} suite needs k >= {SUITE_MIN_K[args.suite]}")
+    least_k, suite_rank = SUITES[args.suite]
+    if k < least_k:
+        raise UsageError(f"{args.suite} suite needs k >= {least_k}")
     if k > cat.MAX_TRIAL_COLUMNS:
         # a suite's rank at k is at least k, and no trial has fewer
         # columns than its rank; refused before 4^(k-1) is computed
         raise UsageError(f"{args.suite} suite at k={k} would draw more than "
                          f"{cat.MAX_TRIAL_COLUMNS} columns")
-    rank = SUITE_RANK[args.suite](k)
+    rank = suite_rank(k)
     cols = ((args.cols, args.cols) if args.cols is not None
             else (rank + 4, rank + 6))
     reports = []
@@ -334,7 +330,10 @@ def cmd_search(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs more
+    than a parse, and `main` may run many times in one process."""
     p = argparse.ArgumentParser(
         prog="flatkit",
         description="exact search for ordinary and elementary flats of "
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     fe.set_defaults(func=cmd_find_elementary)
 
     v = sub.add_parser("verify", help="randomized theorem verification")
-    v.add_argument("--suite", choices=tuple(SUITE_RANK), required=True)
+    v.add_argument("--suite", choices=tuple(SUITES), required=True)
     v.add_argument("--k", type=int, default=None)
     v.add_argument("--trials", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
@@ -383,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="conjecture counterexample search")
-    s.add_argument("--conjecture", type=int, choices=(1, 2), required=True)
+    s.add_argument("--conjecture", type=int, choices=tuple(CONJECTURE_RANK),
+                   required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--trials", type=int, default=25)
     s.add_argument("--seed", type=int, default=0)
@@ -395,15 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept: building it costs more
-    than a parse, and `main` may run many times in one process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for flag in ("trials", "budget"):
             if getattr(args, flag, 0) < 0:

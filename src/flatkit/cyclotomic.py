@@ -258,13 +258,6 @@ class _Ring:
     def shifts(self, v) -> list:
         """[v, zeta*v, ..., zeta^(phi-1)*v] for a flat vector v, so that
         a*v is the sum of a_j times the j-th one for an element a."""
-        if self.phi == 2:
-            # zeta^2 = -c0 - c1*zeta, so zeta*(x + y*zeta) is
-            # -c0*y + (x - c1*y)*zeta, as in `times`
-            c0, c1 = self.low
-            pairs = iter(v)
-            return [v, [c for x, y in zip(pairs, pairs)
-                        for c in (-c0 * y, x - c1 * y)]]
         out = [v]
         for _ in range(self.phi - 1):
             out.append(self._times_zeta(out[-1]))
@@ -484,9 +477,8 @@ def _annihilator(ring: _Ring, basis, size: int):
     dual = [0 if i in pivots else i + 1 for i in range(size)]
     for at, value, shifts in reversed(basis):
         dots = [sum(map(operator.mul, shift, dual)) for shift in shifts]
-        if any(dots):
-            dual = [value * c for c in dual]
-            dual[at:at + phi] = [-s for s in dots]
+        dual = [value * c for c in dual]
+        dual[at:at + phi] = [-s for s in dots]
     return _primitive(dual)
 
 

@@ -284,8 +284,6 @@ class Matroid:
     def _closure(self, key, basis) -> Flat:
         """The flat spanned by the label set `key`, `basis` an echelon
         basis of the span of its columns."""
-        if len(key) == len(self.ground):
-            return Flat(self.ground, len(basis))
         ring, columns = self._ring, self._columns
         dual = _annihilator(ring, basis, self._rows * ring.phi)
         if dual is None:

@@ -33,6 +33,10 @@ class OrdinaryWitness:
     point: Flat
     complement: Flat
 
+    def to_json_dict(self) -> dict:
+        """Each flat as its element list, in declaration order."""
+        return {name: list(f.elements) for name, f in vars(self).items()}
+
 
 @dataclass
 class TraceLevel:
@@ -91,9 +95,7 @@ class SearchReport:
         if w is None:
             wd = None
         elif isinstance(w, OrdinaryWitness):
-            wd = {"flat": list(w.flat.elements),
-                  "point": list(w.point.elements),
-                  "complement": list(w.complement.elements)}
+            wd = w.to_json_dict()
         else:
             wd = {"flat": list(w.elements), "point": None, "complement": None}
         return {
@@ -405,7 +407,7 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
     flat slice is exhausted without a witness), a budget-exceeded report,
     or an aggregate verify-pass report.  An empty stream is refused.
     """
-    if conjecture not in (1, 2):
+    if conjecture not in CONJECTURE_RANK:
         raise UsageError("conjecture must be 1 or 2")
     if k < 2:
         raise UsageError("conjectures are stated for k >= 2")
