@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .cyclotomic import (
@@ -545,11 +546,18 @@ def parse_matrix(text: str) -> Representation:
     caps on the size line, before any label or row is read, and then
     against the rows, or the labels of a file with no rows, before
     anything is built."""
-    raw = [ln.strip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
-    if len(lines) < 2:
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(raw) -> Representation:
+    """`parse_matrix` on the lines of a file, an iterable read no further
+    than the size line until its caps pass."""
+    numbered = ((i + 1, ln.strip()) for i, ln in enumerate(raw))
+    lines = (pair for pair in numbered if pair[1])
+    head = list(islice(lines, 2))
+    if len(head) < 2:
         raise MatrixParseError("file too short: need conductor and size lines")
-    lineno, first = lines[0]
+    lineno, first = head[0]
     parts = first.split()
     # isdecimal, not isdigit: int() refuses a superscript digit such as "³"
     if len(parts) != 2 or parts[0] != "conductor" or not parts[1].isdecimal():
@@ -561,7 +569,7 @@ def parse_matrix(text: str) -> Representation:
         raise MatrixParseError(
             f"conductor {conductor} exceeds the maximum {MAX_FILE_CONDUCTOR}",
             line=lineno)
-    lineno, second = lines[1]
+    lineno, second = head[1]
     parts = second.split()
     if len(parts) != 3 or parts[0] != "size":
         raise MatrixParseError("expected 'size <d> <m>'", line=lineno)
@@ -578,7 +586,7 @@ def parse_matrix(text: str) -> Representation:
             f"{d} rows at conductor {conductor} make columns of {length} "
             f"integers, above the maximum {MAX_FILE_COLUMN_LENGTH}",
             line=lineno)
-    rest = lines[2:]
+    rest = list(lines)
     labels = None
     if rest and rest[0][1].split()[0] == "labels":
         lineno, lab = rest[0]
@@ -593,7 +601,7 @@ def parse_matrix(text: str) -> Representation:
         # a matrix with no columns is written as d blank rows
         if d < 0:
             raise MatrixParseError("expected a row count of at least 0",
-                                   line=lines[1][0])
+                                   line=head[1][0])
         return Representation(conductor, d, labels or (), ())
     if len(rest) != d:
         raise MatrixParseError(
@@ -620,8 +628,11 @@ def parse_matrix(text: str) -> Representation:
 
 
 def load_matrix(path) -> Representation:
+    """`parse_matrix` on the file at `path`, read line by line: the rest
+    of a file whose size line is over the caps is not read."""
     with open(path) as fh:
-        return parse_matrix(fh.read())
+        # a line may hold more breaks for str.splitlines, such as \f
+        return _parse_lines(ln for chunk in fh for ln in chunk.splitlines())
 
 
 def save_matrix(rep: Representation, path) -> None:

@@ -355,7 +355,8 @@ def find_elementary_flat(M: Matroid, k: int,
     With rank at least 4^(k-1) the constructive route always succeeds:
     find an ordinary rank-(4^(k-2)+1) flat, recurse into its rank-4^(k-2)
     complement, and extend the elementary flat found there by the point.
-    Below that rank, fall back to brute enumeration of the slice.  The
+    Below that rank, fall back to brute enumeration of the slice.
+    `budget` bounds the flats formed by all the levels together.  The
     design-matrix bounds of Barak, Dvir, Wigderson and Yehudayoff (2011)
     and Dvir, Saraf and Wigderson (2014) give such flats at larger rank.
     """
@@ -369,10 +370,18 @@ def find_elementary_flat(M: Matroid, k: int,
     # the element count, and so above the rank, falls through to the
     # scan, which refuses it before 4^(k-1) is computed
     if k <= len(M.ground) and M.rank_at_least(4 ** (k - 1)):
-        witness, _ = find_ordinary_flat_constructive(
-            M, 4 ** (k - 2) + 1, budget=budget)
-        sub = find_elementary_flat(M.restrict(witness.complement.elements),
-                                   k - 1, budget=budget)
+        # the restriction shares M's meter, so the recursion gets what
+        # the constructive call left of the budget
+        limit = M.flats_formed + budget
+        try:
+            witness, _ = find_ordinary_flat_constructive(
+                M, 4 ** (k - 2) + 1, budget=budget)
+            sub = find_elementary_flat(
+                M.restrict(witness.complement.elements), k - 1,
+                budget=limit - M.flats_formed)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"flat budget {budget} exceeded") from None
         _require(sub is not None, "elementary recursion came back empty")
         union = set(sub.elements) | set(witness.point.elements)
         out = M.closure(union)

@@ -20,6 +20,7 @@ from flatkit.matroid import (
     MAX_FILE_CONDUCTOR,
     Matroid,
     Representation,
+    load_matrix,
     parse_matrix,
     representation_from_rows,
     save_matrix,
@@ -148,6 +149,55 @@ def test_file_one_over_a_size_cap_is_refused_on_the_size_line(conductor, rows,
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text(rows, cols))
     assert exc.value.line == 2
+
+
+def test_over_cap_file_is_refused_before_the_rest_is_read(tmp_path):
+    """`load_matrix` reads a file line by line, so a file over a size cap
+    is refused on its size line without the rest being read."""
+    import tracemalloc
+
+    m = MAX_FILE_COLUMNS + 1
+    text = (f"conductor 1\nsize 2 {m}\nlabels "
+            + " ".join(f"e{j}" for j in range(m)) + "\n"
+            + ("123456789 " * 40_000 + "\n") * 8)
+    path = tmp_path / "over.mat"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as whole:
+        parse_matrix(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixParseError) as lazy:
+            load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (str(lazy.value), lazy.value.line) == (str(whole.value), 2)
+    assert len(text) > 3_000_000 and peak < 1_000_000
+
+
+@pytest.mark.parametrize("text", [
+    "conductor 3\r\nsize 1 2\r\n\r\n1 z\r\n",
+    "conductor 3\rsize 1 2\r1 z",
+    "\n\nconductor 1\nsize 2 2\x0c1 0\x0b\n0 1\u2028\n",
+    "conductor 1\nsize 2 2\n1 0\x85\n0 q\n",
+    "conductor 1\n\n",
+    "",
+])
+def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
+    """Reading a file line by line gives the matrix, or the error and its
+    line, that parsing the file's whole text gives."""
+    path = tmp_path / "m.mat"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        whole = fh.read()
+    try:
+        expected = parse_matrix(whole)
+    except MatrixParseError as exc:
+        with pytest.raises(MatrixParseError) as got:
+            load_matrix(path)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert load_matrix(path) == expected
 
 
 def test_size_caps_admit_every_file_flatkit_writes():

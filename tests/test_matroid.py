@@ -137,9 +137,21 @@ def test_closure_of_nothing_is_the_loops(conductor):
 
 
 def test_closure_of_a_spanning_set_is_the_ground():
+    """Also over a matroid whose rank is below its row count, so that
+    the closure of its whole ground goes through the annihilator."""
     M = Matroid(ag23())
     for spanning in (["h1", "h2", "h4"], M.ground[1:], M.ground):
         assert M.closure(spanning) == Flat(M.ground, 3)
+    for n in (1, 3):
+        def z(a, b):
+            return CyclotomicNumber(n, [a, b])  # a + b zeta_n
+        # the last row is zeta times the first plus the second
+        M = Matroid(representation_from_rows(
+            [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 0, 1],
+             [z(0, 1), 1, 0, z(1, 1), z(2, 1)]], n))
+        assert M.rank() == 3 < M.to_representation().rows
+        for spanning in (["e1", "e2", "e3"], M.ground[1:], M.ground):
+            assert M.closure(spanning) == Flat(M.ground, 3)
 
 
 def test_rank_zero_uniform_closes_to_both_loops():
