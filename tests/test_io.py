@@ -1,5 +1,7 @@
 """Matrix file format round-trips and diagnostics."""
 
+import tracemalloc
+
 import pytest
 
 from flatkit.catalog import (
@@ -154,8 +156,6 @@ def test_file_one_over_a_size_cap_is_refused_on_the_size_line(conductor, rows,
 def test_over_cap_file_is_refused_before_the_rest_is_read(tmp_path):
     """`load_matrix` reads a file line by line, so a file over a size cap
     is refused on its size line without the rest being read."""
-    import tracemalloc
-
     m = MAX_FILE_COLUMNS + 1
     text = (f"conductor 1\nsize 2 {m}\nlabels "
             + " ".join(f"e{j}" for j in range(m)) + "\n"

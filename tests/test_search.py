@@ -236,17 +236,15 @@ def test_elementary_budget_spans_the_induction(monkeypatch):
     """The constructive call at each level of the elementary induction
     gets what the levels before it left of the one budget, and a budget
     that runs out in any of them is reported as the caller's."""
-    import flatkit.search as search
-
+    target = "flatkit.search.find_ordinary_flat_constructive"
     (_, M), = trial_instances(16, 1, 0, 1, (20, 22))
-    real = search.find_ordinary_flat_constructive
     budgets = []
 
     def spy(M, k, budget):
         budgets.append((k, budget))
-        return real(M, k, budget=budget)
+        return find_ordinary_flat_constructive(M, k, budget=budget)
 
-    monkeypatch.setattr(search, "find_ordinary_flat_constructive", spy)
+    monkeypatch.setattr(target, spy)
     assert find_elementary_flat(M, 3, budget=1000) is not None
     # the k = 5 call formed 9 flats
     assert budgets == [(5, 1000), (2, 991)]
@@ -254,9 +252,9 @@ def test_elementary_budget_spans_the_induction(monkeypatch):
     def spy_out(M, k, budget):
         if k == 2:
             raise BudgetExceededError(f"flat budget {budget} exceeded")
-        return real(M, k, budget=budget)
+        return find_ordinary_flat_constructive(M, k, budget=budget)
 
-    monkeypatch.setattr(search, "find_ordinary_flat_constructive", spy_out)
+    monkeypatch.setattr(target, spy_out)
     (_, M), = trial_instances(16, 1, 0, 1, (20, 22))
     with pytest.raises(BudgetExceededError,
                        match="^flat budget 1000 exceeded$"):
