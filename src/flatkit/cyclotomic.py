@@ -23,13 +23,13 @@ v <- N(p) v - f row for f the entry of v at the pivot, one whole-vector
 list comprehension at phi <= 2, at most phi in general.  Kept vectors
 are made primitive.  No field inverse is taken and nothing is divided
 except by an exact integer gcd.  A step of the flat walk reduces each
-residue it carries by one row and keys it (`_step_down`): at phi <= 2
+residue it carries by one row and keys it (`_step_down`): at phi = 2
 that is one closed-form pass per residue, the same integers as
-`_reduce`, `_primitive` and `_point_key`, which it calls at phi > 2.  A
-closure rejects a non-member column by an integer functional that
-vanishes on the span (`_annihilator`): a nonzero dot product with it
-proves the column is outside, and only a column with a zero dot product
-is settled by `_reduce`, so every answer stays exact.
+`_reduce`, `_primitive` and `_point_key`, which it calls at every other
+phi.  A closure rejects a non-member column by an integer functional
+that vanishes on the span (`_annihilator`): a nonzero dot product with
+it proves the column is outside, and only a column with a zero dot
+product is settled by `_reduce`, so every answer stays exact.
 """
 
 from __future__ import annotations
@@ -205,10 +205,11 @@ class _Ring:
     A vector of d entries is one flat sequence of d*phi(n) ints,
     entry-major: entry i is the slice [i*phi, (i+1)*phi), its
     coefficients of 1, zeta, ..., zeta^(phi-1).  An element is a vector
-    of one entry.  `times` (an element times a vector) is the only
-    product, and `_times_zeta` the only reduction modulo the monic
+    of one entry.  `times` (an element times a vector) is its only
+    product, and `_times_zeta` its only reduction modulo the monic
     integer Phi_n, so nothing is divided.  `adj` maps an element through
-    the Galois matrices, built once per ring, or at phi = 2 a closed form.
+    the Galois matrices, built once per ring.  At phi = 2 the kernel
+    takes adj(a) * v in one closed form, `_times_conjugate`.
     """
 
     __slots__ = ("n", "phi", "low", "fold", "galois")
@@ -232,9 +233,7 @@ class _Ring:
     def adj(self, a) -> list:
         """The product of the Galois conjugates of the element a other
         than a itself, so that a * adj(a) is the rational integer N(a),
-        nonzero when a is.  At phi = 2 it is the one other conjugate."""
-        if self.phi == 2:  # the other conjugate of zeta is -c1 - zeta
-            return [a[0] - self.low[1] * a[1], -a[1]]
+        nonzero when a is."""
         # for n = 1 and 2 there is no other conjugate, and adj is 1
         out, *rest = [[sum(map(operator.mul, row, a)) for row in rows]
                       for rows in self.galois] or [[1]]
@@ -267,17 +266,9 @@ class _Ring:
         """The flat vector a*v for an element a, entry by entry through
         a's phi x phi integer multiplication matrix, whose j-th column
         is zeta^j * a."""
-        phi = self.phi
-        entries = zip(*[iter(v)] * phi)
-        if phi == 2:
-            # zeta^2 = -c0 - c1*zeta, so zeta*a = (-c0*a1, a0 - c1*a1)
-            (a0, a1), (c0, c1) = a, self.low
-            b0, b1 = -c0 * a1, a0 - c1 * a1
-            return [c for p, q in entries
-                    for c in (a0 * p + b0 * q, a1 * p + b1 * q)]
         rows = list(zip(*self.shifts(a)))
         return [sum(map(operator.mul, row, x))
-                for x in entries for row in rows]
+                for x in zip(*[iter(v)] * self.phi) for row in rows]
 
 
 def _primitive(v) -> list:
@@ -297,13 +288,27 @@ def _pivot(ring: _Ring, v):
     return at if at is None else at - at % ring.phi
 
 
+def _times_conjugate(ring: _Ring, v, at: int) -> list:
+    """At phi = 2, the flat vector v, zero before offset `at`, times the
+    other Galois conjugate a0 - c1*a1 - a1*zeta of its entry (a0, a1) at
+    `at`, which is adj of that entry: entry (x, y) becomes
+    (x + y zeta)(a0 - c1 a1 - a1 zeta), zeta^2 = -c0 - c1 zeta."""
+    c0, c1 = ring.low
+    a0, a1 = v[at], v[at + 1]
+    s, t = a0 - c1 * a1, c0 * a1
+    pairs = iter(v[at:])
+    return [*v[:at]] + [y for x, z in zip(pairs, pairs)
+                        for y in (s * x + t * z, a0 * z - a1 * x)]
+
+
 def _normalized(ring: _Ring, v, at: int) -> list:
     """The primitive part of v times adj of its entry at offset `at`,
     signed so that entry becomes a positive rational integer:
     (N, 0, ..., 0) with N > 0."""
     lead = v[at:at + ring.phi]
     if any(lead[1:]):
-        v = ring.times(ring.adj(lead), v)
+        v = (_times_conjugate(ring, v, at) if ring.phi == 2
+             else ring.times(ring.adj(lead), v))
     v = _primitive(v)
     return v if v[at] > 0 else [-c for c in v]
 
@@ -361,14 +366,14 @@ def _step_down(ring: _Ring, step, carried, inside) -> dict:
     each one outside C and `inside` to the pair against the basis
     extended by the row: _primitive(_reduce(ring, [step], v)) and its
     key, or the pair as it is if v is zero at the pivot entry.  At
-    phi <= 2 a residue takes one pass with no call: reduce, divide by the
-    content, find the lead entry; at phi = 2, if the lead is not
-    rational, multiply by its other conjugate a0 - c1*a1 - a1*zeta and
-    divide by the content again; sign the lead positive."""
+    phi = 2 a residue takes one pass: reduce, divide by the content, find
+    the lead entry; if the lead is not rational, multiply by its other
+    conjugate (`_times_conjugate`) and divide by the content again; sign
+    the lead positive."""
     at, value, shifts = step
     phi = ring.phi
     down = {}
-    if phi > 2:
+    if phi != 2:
         basis, end = [step], at + phi
         for i, (v, key) in carried.items():
             if i not in inside:
@@ -377,24 +382,16 @@ def _step_down(ring: _Ring, step, carried, inside) -> dict:
                     key = _point_key(ring, v)
                 down[i] = v, key
         return down
-    row, zrow = shifts if phi == 2 else (shifts[0], None)
-    c0, c1 = ring.low if phi == 2 else (0, 0)
+    row, zrow = shifts
     for i, pair in carried.items():
         if i in inside:
             continue
         v = pair[0]
-        f = v[at]
-        if phi == 1:
-            if not f:
-                down[i] = pair
-                continue
-            w = [value * x - f * r for x, r in zip(v, row)]
-        else:
-            g = v[at + 1]
-            if not (f or g):
-                down[i] = pair
-                continue
-            w = [value * x - f * r - g * q for x, r, q in zip(v, row, zrow)]
+        f, g = v[at], v[at + 1]
+        if not (f or g):
+            down[i] = pair
+            continue
+        w = [value * x - f * r - g * q for x, r, q in zip(v, row, zrow)]
         content = gcd(*w)
         if not content:
             down[i] = w, None
@@ -403,19 +400,13 @@ def _step_down(ring: _Ring, step, carried, inside) -> dict:
             w = [x // content for x in w]
         # w is nonzero, so the walk's generator meets no StopIteration
         lead = next(compress(count(), w))
+        lead -= lead % 2
         key = w
-        if phi == 2:
-            lead -= lead % 2
-            a0, a1 = w[lead], w[lead + 1]
-            if a1:
-                # (x + y zeta)(a0 - c1 a1 - a1 zeta), zeta^2 = -c0 - c1 zeta
-                s, t = a0 - c1 * a1, c0 * a1
-                pairs = iter(w[lead:])
-                key = w[:lead] + [y for x, z in zip(pairs, pairs)
-                                  for y in (s * x + t * z, a0 * z - a1 * x)]
-                content = gcd(*key)
-                if content > 1:
-                    key = [x // content for x in key]
+        if w[lead + 1]:
+            key = _times_conjugate(ring, w, lead)
+            content = gcd(*key)
+            if content > 1:
+                key = [x // content for x in key]
         down[i] = w, tuple(key) if key[lead] > 0 else tuple([-x for x in key])
     return down
 

@@ -447,7 +447,7 @@ class Matroid:
         # points of M/C.  The point taken extends the basis by its key.  A
         # residue zero at the step's pivot entry keeps its key.  Residues
         # are reduced, not keys: a key is one times phi - 1 conjugates.
-        # A step's arithmetic is `_step_down`'s, in closed form at phi <= 2.
+        # A step's arithmetic is `_step_down`'s, in closed form at phi = 2.
         # A frame is the carried dict with its points, grouped once.
         def points_of(carried):
             points = {}

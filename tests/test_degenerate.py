@@ -29,6 +29,7 @@ from flatkit.cyclotomic import (
     _reduce,
     _ring,
     _step_down,
+    _times_conjugate,
     euler_phi,
 )
 from flatkit.errors import BudgetExceededError, ContractNonFlatError
@@ -730,10 +731,12 @@ def two_pass_step(at, value, shifts, v):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_phi2_closed_forms_match_the_general_route(n):
-    """At phi = 2 `adj` is the one other conjugate in closed form and a
-    `_reduce` step is one pass; each gives the integers of the general
-    route (the Galois table, two passes), on coefficients up to 2^80 in
-    size and on pivot entries with a zero coordinate."""
+    """At phi = 2 `_times_conjugate` multiplies a vector by the one other
+    conjugate of its lead in closed form and a `_reduce` step is one
+    pass; each gives the integers of the general route (the Galois table
+    and `times`, two passes), on coefficients up to 2^80 in size and on
+    leads and pivot entries with a zero coordinate.  `adj` is the
+    product through the table."""
     ring, rng, big = _ring(n), random.Random(n), 2 ** 80
     assert ring.phi == 2
 
@@ -756,6 +759,13 @@ def test_phi2_closed_forms_match_the_general_route(n):
         for lead in ([f, g], [0, g], [f, 0], [0, 0]):
             v[at:at + 2] = lead
             assert _reduce(ring, [step], v) == two_pass_step(*step, v)
+        u = [0] * at + [c for _ in range(at // 2, d) for c in element()]
+        a0, a1 = u[at:at + 2]
+        for lead in ([a0, a1], [0, a1 or big], [a0 or -big, 0]):
+            u[at:at + 2] = lead
+            # a ground column is a tuple
+            assert (_times_conjugate(ring, tuple(u), at)
+                    == ring.times(galois_adj(ring, lead), u))
 
 
 @settings(max_examples=100, deadline=None)
