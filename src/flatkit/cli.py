@@ -155,8 +155,11 @@ def _emit_find(args, payload):
         _print(f"  complement: {{{', '.join(w['complement'])}}}")
     if payload.get("trace"):
         for lv in payload["trace"]["levels"]:
-            _print(f"  level k={lv['k']}: x={lv['x']} y={lv['y']} "
-                   f"z={lv['z']} w={lv['w']} output={lv['output']}")
+            # a level prints only the fields it sets
+            fields = [f"{name}={lv[name]}" for name in "xyzw"
+                      if lv[name] is not None]
+            fields.append(f"output={{{', '.join(lv['output'])}}}")
+            _print(f"  level k={lv['k']}: {' '.join(fields)}")
 
 
 def cmd_find_ordinary(args) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .cyclotomic import (
@@ -63,6 +62,10 @@ MAX_FILE_CONDUCTOR = 24
 # (one run each, same VM); a refused 10 x 30 file at n = 23 took 7.8 s.
 MAX_FILE_COLUMNS = 72
 MAX_FILE_COLUMN_LENGTH = 144
+
+# Most characters in a line of a matrix file up to its size line; the
+# longest a file within the caps needs is `size 144 72`.
+_MAX_HEADER_LINE = 256
 
 
 @dataclass(frozen=True)
@@ -551,10 +554,21 @@ def parse_matrix(text: str) -> Representation:
 
 def _parse_lines(raw) -> Representation:
     """`parse_matrix` on the lines of a file, an iterable read no further
-    than the size line until its caps pass."""
-    numbered = ((i + 1, ln.strip()) for i, ln in enumerate(raw))
-    lines = (pair for pair in numbered if pair[1])
-    head = list(islice(lines, 2))
+    than the size line until its caps pass.  A line up to the size line
+    that is longer than `_MAX_HEADER_LINE` is refused as it is read."""
+    numbered = enumerate(raw, 1)
+    head = []
+    for lineno, ln in numbered:
+        if len(ln) > _MAX_HEADER_LINE:
+            raise MatrixParseError(
+                f"line longer than {_MAX_HEADER_LINE} characters before "
+                "the end of the size line", line=lineno)
+        if ln.strip():
+            head.append((lineno, ln.strip()))
+            if len(head) == 2:
+                break
+    stripped = ((i, ln.strip()) for i, ln in numbered)
+    lines = (pair for pair in stripped if pair[1])
     if len(head) < 2:
         raise MatrixParseError("file too short: need conductor and size lines")
     lineno, first = head[0]
@@ -629,10 +643,37 @@ def _parse_lines(raw) -> Representation:
 
 def load_matrix(path) -> Representation:
     """`parse_matrix` on the file at `path`, read line by line: the rest
-    of a file whose size line is over the caps is not read."""
+    of a file whose size line is over the caps is not read, and a line up
+    to the size line no further than `_MAX_HEADER_LINE` + 1 characters."""
     with open(path) as fh:
-        # a line may hold more breaks for str.splitlines, such as \f
-        return _parse_lines(ln for chunk in fh for ln in chunk.splitlines())
+        return _parse_lines(_file_lines(fh))
+
+
+def _file_lines(fh):
+    """The lines of the text file `fh` as str.splitlines gives them on its
+    whole text.  Up to the second line that is not blank, the file is
+    read in blocks of at most `_MAX_HEADER_LINE` + 1 characters, and a
+    line still unfinished past that bound is given as far as it was read
+    and ends the lines, since `_parse_lines` refuses it."""
+    header, tail = 0, ""
+    while header < 2:
+        block = fh.readline(_MAX_HEADER_LINE + 1)
+        lines = (tail + block).splitlines()
+        # a block that ends in a character other than a line break, one
+        # that splits to itself, leaves its last line unfinished
+        tail = lines.pop() if block[-1:].splitlines() == [block[-1:]] else ""
+        for ln in lines:
+            yield ln
+            header += bool(ln.strip())
+        if header < 2 and len(tail) > _MAX_HEADER_LINE:
+            yield tail
+            return
+        if not block:
+            return
+    # a line may hold more breaks for str.splitlines, such as \f
+    yield from (tail + fh.readline()).splitlines()
+    for chunk in fh:
+        yield from chunk.splitlines()
 
 
 def save_matrix(rep: Representation, path) -> None:

@@ -119,6 +119,27 @@ def test_find_ordinary_constructive_trace(capsys):
     assert doc["trace"]["levels"][-1]["k"] == 3
 
 
+def test_find_text_output(capsys):
+    """The text form of a witness: each flat in braces, and a trace level
+    with only the fields it sets."""
+    code, out, _ = run(capsys, "find-ordinary", "ag23_power:2", "--k", "3",
+                       "--method", "brute")
+    assert code == 0 and out == ("flat: {c1.h1, c1.h2, c1.h3, c2.h1}\n"
+                                 "  point:      {c2.h1}\n"
+                                 "  complement: {c1.h1, c1.h2, c1.h3}\n")
+    code, out, _ = run(capsys, "find-ordinary", "random:8,13,1,42",
+                       "--k", "3", "--method", "constructive", "--trace")
+    assert code == 0 and out == (
+        "flat: {e1, e2, e5}\n"
+        "  point:      {e1}\n"
+        "  complement: {e2, e5}\n"
+        "  level k=2: output={e1, e2}\n"
+        "  level k=3: x=e5 y=e6 z=e1 w=e5 output={e1, e2, e5}\n")
+    code, out, _ = run(capsys, "find-elementary", "random:16,20,1,0",
+                       "--k", "3")
+    assert code == 0 and out == "flat: {e1, e2, e5}\n"
+
+
 def test_find_ordinary_constructive_precondition_exit_3(capsys):
     code, _, err = run(capsys, "find-ordinary", "ag23", "--k", "3",
                        "--method", "constructive")
@@ -328,6 +349,17 @@ def test_huge_declared_column_count_exit_2(capsys, tmp_path, rows):
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_long_conductor_line_exit_2(capsys, tmp_path):
+    """A conductor of 5,000 digits, past what int() takes, is a parse
+    error on its line."""
+    path = tmp_path / "long.mat"
+    path.write_text("conductor " + "3" * 5000 + "\nsize 1 1\n1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("(line 1)")
 
 
 @pytest.mark.parametrize("conductor, rows, cols", [(1, 1, 73), (3, 73, 1),
