@@ -155,7 +155,6 @@ def _emit_find(args, payload):
         _print(f"  complement: {{{', '.join(w['complement'])}}}")
     if payload.get("trace"):
         for lv in payload["trace"]["levels"]:
-            # a level prints only the fields it sets
             fields = [f"{name}={lv[name]}" for name in "xyzw"
                       if lv[name] is not None]
             fields.append(f"output={{{', '.join(lv['output'])}}}")

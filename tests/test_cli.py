@@ -100,6 +100,11 @@ def test_analyze_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "parse error" in err
+    # a conductor of 5,000 digits is past what int() takes
+    bad.write_text("conductor " + "3" * 5000 + "\nsize 1 1\n1\n")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.endswith("(line 1)\n")
 
 
 def test_find_ordinary_ag23_none_exit_1(capsys):
@@ -349,17 +354,6 @@ def test_huge_declared_column_count_exit_2(capsys, tmp_path, rows):
     assert code == 2 and out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-def test_long_conductor_line_exit_2(capsys, tmp_path):
-    """A conductor of 5,000 digits, past what int() takes, is a parse
-    error on its line."""
-    path = tmp_path / "long.mat"
-    path.write_text("conductor " + "3" * 5000 + "\nsize 1 1\n1\n")
-    code, out, err = run(capsys, "analyze", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("parse error: ") and err.count("\n") == 1
-    assert err.rstrip().endswith("(line 1)")
 
 
 @pytest.mark.parametrize("conductor, rows, cols", [(1, 1, 73), (3, 73, 1),

@@ -94,10 +94,14 @@ def test_parse_errors_carry_location():
         parse_matrix("conductor x\nsize 1 1\n1\n")
     with pytest.raises(MatrixParseError):
         parse_matrix("conductor 1\nsize 2 2\n1 0\n")  # missing row
+    # a header line over a few hundred characters is refused before its
+    # fields are read: int() refuses a conductor of 5,000 digits
     for text, line in [("conductor 0\nsize 1 1\n1\n", 1),
                        ("conductor 1\nsize 2\n1\n", 2),
                        ("conductor 1\nsize a b\n1\n", 2),
-                       ("conductor 1\nsize 0 3\n", 2)]:
+                       ("conductor 1\nsize 0 3\n", 2),
+                       ("conductor " + "3" * 5000 + "\nsize 1 1\n1\n", 1),
+                       ("\nconductor 3\nsize 1 " + "0" * 300 + "1\n1\n", 3)]:
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix(text)
         assert exc.value.line == line
@@ -180,18 +184,6 @@ def test_over_cap_file_is_refused_before_the_rest_is_read(tmp_path):
         tracemalloc.stop()
     assert (str(lazy.value), lazy.value.line) == (str(whole.value), 2)
     assert len(text) > 3_000_000 and peak < 1_000_000
-
-
-def test_long_header_line_is_refused_on_its_line():
-    """A conductor or size line longer than a few hundred characters is
-    a parse error on that line, before its fields are read: a conductor
-    of 5,000 digits is past what int() takes."""
-    with pytest.raises(MatrixParseError) as exc:
-        parse_matrix("conductor " + "3" * 5000 + "\nsize 1 1\n1\n")
-    assert exc.value.line == 1
-    with pytest.raises(MatrixParseError) as exc:
-        parse_matrix("\nconductor 3\nsize 1 " + "0" * 300 + "1\n1\n")
-    assert exc.value.line == 3
 
 
 def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
