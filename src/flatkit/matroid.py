@@ -548,8 +548,9 @@ def parse_matrix(text: str) -> Representation:
     """The matrix of a matrix file.  The sizes are checked against the
     caps on the size line, before any label or row is read, and then
     against the rows, or the labels of a file with no rows, before
-    anything is built."""
-    return _parse_lines(text.splitlines())
+    anything is built.  A line ends at \\n, \\r\\n or \\r."""
+    return _parse_lines(part for ln in text.split("\n")
+                        for part in ln.removesuffix("\r").split("\r"))
 
 
 def _parse_lines(raw) -> Representation:
@@ -650,30 +651,19 @@ def load_matrix(path) -> Representation:
 
 
 def _file_lines(fh):
-    """The lines of the text file `fh` as str.splitlines gives them on its
-    whole text.  Up to the second line that is not blank, the file is
-    read in blocks of at most `_MAX_HEADER_LINE` + 1 characters, and a
-    line still unfinished past that bound is given as far as it was read
-    and ends the lines, since `_parse_lines` refuses it."""
-    header, tail = 0, ""
+    """The lines of the text file `fh`, opened with universal newlines.
+    Up to the second line that is not blank, a line is read no further
+    than `_MAX_HEADER_LINE` + 1 characters, and one cut there is given as
+    far as it was read, since `_parse_lines` refuses it."""
+    header = 0
     while header < 2:
-        block = fh.readline(_MAX_HEADER_LINE + 1)
-        lines = (tail + block).splitlines()
-        # a block that ends in a character other than a line break, one
-        # that splits to itself, leaves its last line unfinished
-        tail = lines.pop() if block[-1:].splitlines() == [block[-1:]] else ""
-        for ln in lines:
-            yield ln
-            header += bool(ln.strip())
-        if header < 2 and len(tail) > _MAX_HEADER_LINE:
-            yield tail
+        ln = fh.readline(_MAX_HEADER_LINE + 1)
+        if not ln:
             return
-        if not block:
-            return
-    # a line may hold more breaks for str.splitlines, such as \f
-    yield from (tail + fh.readline()).splitlines()
-    for chunk in fh:
-        yield from chunk.splitlines()
+        yield ln.rstrip("\n")
+        header += bool(ln.strip())
+    for ln in fh:
+        yield ln.rstrip("\n")
 
 
 def save_matrix(rep: Representation, path) -> None:

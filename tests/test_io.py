@@ -101,7 +101,9 @@ def test_parse_errors_carry_location():
                        ("conductor 1\nsize a b\n1\n", 2),
                        ("conductor 1\nsize 0 3\n", 2),
                        ("conductor " + "3" * 5000 + "\nsize 1 1\n1\n", 1),
-                       ("\nconductor 3\nsize 1 " + "0" * 300 + "1\n1\n", 3)]:
+                       ("\nconductor 3\nsize 1 " + "0" * 300 + "1\n1\n", 3),
+                       # a line ends at \n, \r\n or \r only: \f is a space
+                       ("conductor 1\nsize 1 2\n1 0\f0 1\n", 3)]:
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix(text)
         assert exc.value.line == line
@@ -201,6 +203,10 @@ def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
     assert exc.value.line == 2 and peak < 1_000_000
 
 
+# one matrix file, to be written with each of the three line ends
+ENDS = "conductor 3\nsize 2 2\n\nlabels p q\n1 z\n\nz -1\n"
+
+
 @pytest.mark.parametrize("text", [
     "conductor 3\r\nsize 1 2\r\n\r\n1 z\r\n",
     "conductor 3\rsize 1 2\r1 z",
@@ -208,10 +214,12 @@ def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
     "conductor 1\nsize 2 2\n1 0\x85\n0 q\n",
     "conductor 1\n\n",
     "",
+    *(ENDS.replace("\n", end) for end in ("\n", "\r\n", "\r")),
 ])
 def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
     """Reading a file line by line gives the matrix, or the error and its
-    line, that parsing the file's whole text gives."""
+    line, that parsing the file's whole text gives; a line ends at \\n,
+    \\r\\n or \\r."""
     path = tmp_path / "m.mat"
     path.write_bytes(text.encode())
     with open(path) as fh:
@@ -224,6 +232,8 @@ def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
     else:
         assert load_matrix(path) == expected
+        if text.split() == ENDS.split():
+            assert parse_matrix(text) == expected == parse_matrix(ENDS)
 
 
 def test_size_caps_admit_every_file_flatkit_writes():
