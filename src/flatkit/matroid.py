@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .cyclotomic import (
@@ -66,6 +67,12 @@ MAX_FILE_COLUMN_LENGTH = 144
 # Most characters in a line of a matrix file up to its size line; the
 # longest a file within the caps needs is `size 144 72`.
 _MAX_HEADER_LINE = 256
+
+# Most characters in a label of a matrix file; the longest label flatkit
+# writes has 6, such as `c10.e1`.  A labels line holds at most
+# MAX_FILE_COLUMNS labels, each after one space.
+MAX_FILE_LABEL = 64
+_MAX_LABELS_LINE = len("labels") + MAX_FILE_COLUMNS * (1 + MAX_FILE_LABEL)
 
 
 @dataclass(frozen=True)
@@ -528,8 +535,13 @@ class Matroid:
 
 def write_matrix(rep: Representation) -> str:
     """The matrix file of `rep`.  The labels line is split on whitespace
-    when read, so a label that is empty or holds whitespace is refused."""
+    when read, so a label that is empty or holds whitespace is refused,
+    and so is one longer than `MAX_FILE_LABEL`."""
     for label in rep.labels:
+        if len(label) > MAX_FILE_LABEL:
+            raise UsageError(f"a label of {len(label)} characters cannot be "
+                             "written to a matrix file: the most is "
+                             f"{MAX_FILE_LABEL}")
         if label.split() != [label]:
             raise UsageError(f"label {label!r} cannot be written to a "
                              "matrix file: it is empty or holds whitespace")
@@ -555,8 +567,9 @@ def parse_matrix(text: str) -> Representation:
 
 def _parse_lines(raw) -> Representation:
     """`parse_matrix` on the lines of a file, an iterable read no further
-    than the size line until its caps pass.  A line up to the size line
-    that is longer than `_MAX_HEADER_LINE` is refused as it is read."""
+    than the size line until its caps pass, and no further than the
+    labels line until it passes.  A line up to the size line that is
+    longer than `_MAX_HEADER_LINE` is refused as it is read."""
     numbered = enumerate(raw, 1)
     head = []
     for lineno, ln in numbered:
@@ -568,8 +581,7 @@ def _parse_lines(raw) -> Representation:
             head.append((lineno, ln.strip()))
             if len(head) == 2:
                 break
-    stripped = ((i, ln.strip()) for i, ln in numbered)
-    lines = (pair for pair in stripped if pair[1])
+    lines = ((i, ln) for i, ln in numbered if ln.strip())
     if len(head) < 2:
         raise MatrixParseError("file too short: need conductor and size lines")
     lineno, first = head[0]
@@ -601,17 +613,24 @@ def _parse_lines(raw) -> Representation:
             f"{d} rows at conductor {conductor} make columns of {length} "
             f"integers, above the maximum {MAX_FILE_COLUMN_LENGTH}",
             line=lineno)
-    rest = list(lines)
+    rest = list(islice(lines, 1))
     labels = None
     if rest and rest[0][1].split()[0] == "labels":
-        lineno, lab = rest[0]
+        lineno, lab = rest.pop()
+        if len(lab) > _MAX_LABELS_LINE:
+            raise MatrixParseError(
+                f"labels line longer than {_MAX_LABELS_LINE} characters",
+                line=lineno)
         labels = tuple(lab.split()[1:])
         if len(labels) != m:
             raise MatrixParseError(
                 f"expected {m} labels, got {len(labels)}", line=lineno)
+        if max(map(len, labels), default=0) > MAX_FILE_LABEL:
+            raise MatrixParseError(
+                f"label longer than {MAX_FILE_LABEL} characters", line=lineno)
         if len(set(labels)) != m:
             raise MatrixParseError("labels must be unique", line=lineno)
-        rest = rest[1:]
+    rest += lines
     if not m and not rest:
         # a matrix with no columns is written as d blank rows
         if d < 0:
@@ -645,21 +664,29 @@ def _parse_lines(raw) -> Representation:
 def load_matrix(path) -> Representation:
     """`parse_matrix` on the file at `path`, read line by line: the rest
     of a file whose size line is over the caps is not read, and a line up
-    to the size line no further than `_MAX_HEADER_LINE` + 1 characters."""
+    to the labels line no further than `_MAX_LABELS_LINE` + 1
+    characters."""
     with open(path) as fh:
         return _parse_lines(_file_lines(fh))
 
 
 def _file_lines(fh):
     """The lines of the text file `fh`, opened with universal newlines.
-    Up to the second line that is not blank, a line is read no further
-    than `_MAX_HEADER_LINE` + 1 characters, and one cut there is given as
-    far as it was read, since `_parse_lines` refuses it."""
+    Up to the third line that is not blank, the labels line or the first
+    matrix row, a line is read no further than `_MAX_LABELS_LINE` + 1
+    characters, and one cut there is given as far as it was read, since
+    `_parse_lines` refuses it."""
     header = 0
-    while header < 2:
-        ln = fh.readline(_MAX_HEADER_LINE + 1)
+    while header < 3:
+        ln = fh.readline(_MAX_LABELS_LINE + 1)
         if not ln:
             return
+        # past the size line, a cut line is read on to its end unless
+        # its first word is `labels`
+        start = ln.lstrip()[:7]
+        if header == 2 and ln[-1] != "\n" and not (
+                start[:6] == "labels" and start[6:].isspace()):
+            ln += fh.readline()
         yield ln.rstrip("\n")
         header += bool(ln.strip())
     for ln in fh:

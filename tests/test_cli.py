@@ -703,6 +703,14 @@ def test_file_repeated_label_exit_2(capsys, tmp_path):
     assert err == "parse error: labels must be unique (line 3)\n"
 
 
+def test_file_label_over_the_cap_exit_2(capsys, tmp_path):
+    path = tmp_path / "long.mat"
+    path.write_text("conductor 1\nsize 1 2\nlabels a " + "b" * 65 + "\n1 2\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: label longer than 64 characters (line 3)\n"
+
+
 def test_catalog_export_unwritable_path_exit_3(capsys, tmp_path):
     path = tmp_path / "nodir" / "x.mat"
     code, out, err = run(capsys, "catalog", "--export", "ag23", str(path))

@@ -20,6 +20,7 @@ from flatkit.matroid import (
     MAX_FILE_COLUMN_LENGTH,
     MAX_FILE_COLUMNS,
     MAX_FILE_CONDUCTOR,
+    MAX_FILE_LABEL,
     Matroid,
     Representation,
     load_matrix,
@@ -75,6 +76,21 @@ def test_unreadable_label_is_refused_before_writing(label, tmp_path):
     assert not path.exists()
 
 
+def test_overlong_label_is_refused_before_writing(tmp_path):
+    """A label longer than MAX_FILE_LABEL would not read back, so it is
+    refused as a label with whitespace is; one at the cap round-trips."""
+    top = representation_from_rows([[1, 2]], 1, ["p", "x" * MAX_FILE_LABEL])
+    assert parse_matrix(write_matrix(top)) == top
+    rep = representation_from_rows([[1, 2]], 1,
+                                   ["p", "x" * (MAX_FILE_LABEL + 1)])
+    with pytest.raises(UsageError, match=f"the most is {MAX_FILE_LABEL}"):
+        write_matrix(rep)
+    path = tmp_path / "m.mat"
+    with pytest.raises(UsageError):
+        save_matrix(rep, path)
+    assert not path.exists()
+
+
 def test_parse_default_labels():
     rep = parse_matrix("conductor 1\nsize 2 3\n1 0 1\n0 1 1\n")
     assert rep.labels == ("e1", "e2", "e3")
@@ -123,6 +139,17 @@ def test_parse_wrong_entry_count():
 def test_parse_label_count_mismatch():
     with pytest.raises(MatrixParseError):
         parse_matrix("conductor 1\nsize 1 2\nlabels a\n1 2\n")
+
+
+def test_label_one_over_the_cap_is_refused_on_its_line():
+    def text(n):
+        return f"conductor 1\nsize 1 2\n\nlabels a {'b' * n}\n1 2\n"
+
+    assert parse_matrix(text(MAX_FILE_LABEL)).labels == \
+        ("a", "b" * MAX_FILE_LABEL)
+    with pytest.raises(MatrixParseError, match="label longer than") as exc:
+        parse_matrix(text(MAX_FILE_LABEL + 1))
+    assert exc.value.line == 4
 
 
 def test_conductor_bound():
@@ -205,6 +232,27 @@ def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
 
 # one matrix file, to be written with each of the three line ends
 ENDS = "conductor 3\nsize 2 2\n\nlabels p q\n1 z\n\nz -1\n"
+
+
+def test_long_label_is_refused_in_bounded_memory(tmp_path):
+    """`load_matrix` reads the labels line no further than its bound, so
+    a label of 20 million characters is refused without being read
+    whole, as parsing the whole text refuses it."""
+    text = "conductor 1\nsize 1 2\nlabels a " + "b" * 20_000_000 + "\n1 2\n"
+    path = tmp_path / "label.mat"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as whole:
+        parse_matrix(text)
+    del text
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixParseError) as lazy:
+            load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (str(lazy.value), lazy.value.line) == (str(whole.value), 3)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("text", [
