@@ -86,6 +86,8 @@ def test_analyze_simple_with_flats_is_the_full_report(capsys, k):
     rank, 0 included, the report is the one without --simple."""
     code, out, _ = run(capsys, "analyze", "ag23", "--simple", "--json")
     assert code == 0 and json.loads(out) == {"simple": True}
+    code, out, _ = run(capsys, "analyze", "ag23", "--simple")
+    assert code == 0 and out == "simple: True\n"
     code, out, _ = run(capsys, "analyze", "ag23", "--simple", "--flats", k,
                        "--json")
     assert code == 0
@@ -456,6 +458,31 @@ def test_failed_two_point_line_check_dumps_the_trace(capsys, monkeypatch,
     assert json.loads((tmp_path / (stem + ".trace.json")).read_text()) == \
         {"levels": []}
     assert err.splitlines()[-1] == "internal inconsistency: planted failure"
+
+
+def test_failed_runtime_check_dumps_the_trace(capsys, monkeypatch, tmp_path):
+    """A runtime theorem check that fails in the search itself, here the
+    k=3 level's check that the assembled set is an ordinary flat, ends the
+    run with exit 4 and the trace of the levels before it dumped."""
+    from flatkit import search
+    from flatkit.catalog import trial_instances
+    from flatkit.search import ConstructionTrace
+
+    s, M = next(trial_instances(8, 1, 0, 1, (12, 14)))
+    _, trace = search.find_ordinary_flat_constructive(M, 3)
+    monkeypatch.setattr(search, "is_ordinary", lambda M, flat: None)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "main-theorem", "--k",
+                         "3", "--trials", "1", "--seed", "0", "--json")
+    assert code == 4 and out == ""
+    assert err.endswith("internal inconsistency: the assembled set must be "
+                        "an ordinary rank-k flat\n")
+    stem = f"failure-main-theorem-k3-seed{s}"
+    assert sorted(os.listdir(tmp_path)) == [stem + ".mat",
+                                            stem + ".trace.json"]
+    dumped = json.loads((tmp_path / (stem + ".trace.json")).read_text())
+    assert [level["k"] for level in dumped["levels"]] == [2]
+    assert dumped == ConstructionTrace(trace.levels[:1]).to_json_dict()
 
 
 def test_verify_dumps_instance_without_trace(capsys, monkeypatch, tmp_path):

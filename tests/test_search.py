@@ -19,7 +19,8 @@ from flatkit.errors import (
     InternalInconsistencyError,
     UsageError,
 )
-from flatkit.matroid import Flat, Matroid, direct_sum, prefix_labels, representation_from_rows
+from flatkit.cyclotomic import _primitive
+from flatkit.matroid import Flat, Matroid, Representation, direct_sum, prefix_labels, representation_from_rows
 from flatkit.search import (
     conjecture_instances,
     find_elementary_flat,
@@ -338,6 +339,44 @@ def test_base_flat_is_the_greedy_prefix_closure(M, k):
     assert top.k == k
     fresh = Matroid(M.to_representation())
     assert top.contracted_flat == greedy_prefix_closure(fresh, 4 * (k - 2))
+
+
+def lines_through_the_base_flat(conductor):
+    """A rank-8 trial instance, drawn as `verify --seed 0` draws it, with
+    one more column on the line through f and e for each f in the base
+    flat F of its top k=3 level and each e outside F, and that F."""
+    s, M = next(trial_instances(8, 1, 0, conductor, (12, 14)))
+    F, _ = M._contract(frozenset(M.ground[:4]), M._prefix_basis(4)[:4])
+    rep = M.to_representation()
+    column = dict(zip(rep.labels, rep.columns))
+    r = random.Random(s).choice((-3, -2, -1, 1, 2, 3))
+    labels, columns = list(rep.labels), list(rep.columns)
+    for e in M.ground:
+        if e not in F:
+            den_e, v_e = column[e]
+            for f in F.elements:
+                den_f, v_f = column[f]
+                labels.append(f"{f}.{e}")
+                columns.append((1, tuple(_primitive(
+                    [a * den_e + r * b * den_f for a, b in zip(v_f, v_e)]))))
+    return Matroid(Representation(conductor, rep.rows, tuple(labels),
+                                  tuple(columns))), F
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4])
+def test_claim1_takes_z_outside_the_base_flat_and_swaps(conductor):
+    """With a point of every line from F out to the rest planted, the top
+    level's two-point line {z, w} takes z outside the base flat F and w
+    the second point b of the contracted line, so x and y swap: the
+    trace's x lies in F2 and not in F1.  The witness is ordinary on a
+    fresh matroid of the same matrix."""
+    N, F = lines_through_the_base_flat(conductor)
+    w, trace = find_ordinary_flat_constructive(N, 3)
+    top = trace.levels[-1]
+    assert top.k == 3 and top.contracted_flat == F
+    assert top.z not in F
+    assert top.x in top.f2 and top.x not in top.f1 and top.w == top.x
+    assert is_ordinary(Matroid(N.to_representation()), w.flat) is not None
 
 
 @pytest.mark.parametrize("conductor, k", [(1, k) for k in range(4, 9)]
