@@ -617,7 +617,7 @@ def _parse_lines(raw) -> Representation:
     labels = None
     if rest and rest[0][1].split()[0] == "labels":
         lineno, lab = rest.pop()
-        if len(lab) > _MAX_LABELS_LINE:
+        if len(lab.lstrip()) > _MAX_LABELS_LINE:
             raise MatrixParseError(
                 f"labels line longer than {_MAX_LABELS_LINE} characters",
                 line=lineno)
@@ -664,29 +664,33 @@ def _parse_lines(raw) -> Representation:
 def load_matrix(path) -> Representation:
     """`parse_matrix` on the file at `path`, read line by line: the rest
     of a file whose size line is over the caps is not read, and a line up
-    to the labels line no further than `_MAX_LABELS_LINE` + 1
-    characters."""
+    to the labels line no further than `_MAX_LABELS_LINE` + 1 characters
+    past its leading whitespace."""
     with open(path) as fh:
         return _parse_lines(_file_lines(fh))
 
 
 def _file_lines(fh):
     """The lines of the text file `fh`, opened with universal newlines.
-    Up to the third line that is not blank, the labels line or the first
-    matrix row, a line is read no further than `_MAX_LABELS_LINE` + 1
-    characters, and one cut there is given as far as it was read, since
-    `_parse_lines` refuses it."""
+    Up to the size line, a line is read no further than `_MAX_LABELS_LINE`
+    + 1 characters, and so is the next line that is not blank, the labels
+    line or the first matrix row, past its leading whitespace, which is
+    dropped.  A line cut there is given as far as it was read, since
+    `_parse_lines` refuses it, except a matrix row, read to its end."""
+    bound = _MAX_LABELS_LINE + 1
     header = 0
     while header < 3:
-        ln = fh.readline(_MAX_LABELS_LINE + 1)
+        ln = fh.readline(bound)
+        if header == 2:
+            while ln[-1:] not in ("", "\n") and not ln.strip():
+                ln = fh.readline(bound)
+            if ln.strip() and ln[-1] != "\n":
+                ln = ln.lstrip()
+                ln += fh.readline(bound - len(ln))
+                if ln[-1] != "\n" and ln.split()[0] != "labels":
+                    ln += fh.readline()
         if not ln:
             return
-        # past the size line, a cut line is read on to its end unless
-        # its first word is `labels`
-        start = ln.lstrip()[:7]
-        if header == 2 and ln[-1] != "\n" and not (
-                start[:6] == "labels" and start[6:].isspace()):
-            ln += fh.readline()
         yield ln.rstrip("\n")
         header += bool(ln.strip())
     for ln in fh:
