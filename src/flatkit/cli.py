@@ -335,12 +335,14 @@ def cmd_search(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept: building it costs more
-    than a parse, and `main` may run many times in one process."""
+    than a parse, and `main` may run many times in one process.  Its
+    `commands` maps each subcommand's name to that command's parser."""
     p = argparse.ArgumentParser(
         prog="flatkit",
         description="exact search for ordinary and elementary flats of "
                     "matroids represented over cyclotomic fields")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices   # filled by each add_parser below
 
     c = sub.add_parser("catalog", help="list or export named constructions")
     c.add_argument("--export", nargs=2, metavar=("REF", "OUT"))
@@ -397,8 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse(argv):
+    """The namespace of `argv` (None: `sys.argv[1:]`).  A known command's
+    arguments go straight to its own parser: through the top-level parser
+    they would be parsed twice, once to match the command and again by
+    its parser.  Any other argv goes to the top-level parser.  The routes
+    read alike but for an unrecognized argument after a known command,
+    which that command's parser reports, under its own usage."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         for flag in ("trials", "budget"):
             if getattr(args, flag, 0) < 0:

@@ -962,3 +962,75 @@ def test_cli_fuzz_documented_exit_codes(argv, text):
     assert code in range(7), (argv, code)
     if "--json" in argv and "--help" not in argv and out:
         json.loads(out)  # one document, nothing before or after it
+
+
+def parse_outcome(parse, argv):
+    """(namespace without `command`, exit code, stdout, stderr) of
+    parse(argv); an argv argparse refuses or answers itself has no
+    namespace, one it accepts no exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    ns = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    if ns is not None:
+        ns = {k: v for k, v in ns.items() if k != "command"}
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+def assert_routes_agree(argv):
+    """`main`'s parse of argv reads as the top-level parser's, except
+    that an unrecognized argument may be reported under another usage."""
+    ns, code, out, err = parse_outcome(cli._parse, argv)
+    ns0, code0, out0, err0 = parse_outcome(cli.build_parser().parse_args,
+                                           argv)
+    assert (ns, code, out) == (ns0, code0, out0), argv
+    if "error: unrecognized arguments: " in err0:
+        assert err.partition("error: ")[2] == err0.partition("error: ")[2]
+    else:
+        assert err == err0, argv
+
+
+@settings(max_examples=300, deadline=None)
+@example([])
+@example(["-h"])
+@example(["bogus"])
+@example(["verify", "-h"])
+@example(["verify", "--suite", "kelly", "--bogus"])
+@example(["find-elementary", "ag23", "--k", "2", "--", "x"])
+@given(cli_argv())
+def test_command_parser_route_matches_the_top_level_parser(argv):
+    assert_routes_agree(argv)
+
+
+def test_unrecognized_argument_is_reported_by_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "kelly", "--trials", "1", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flatkit verify")
+    assert err.endswith(
+        "flatkit verify: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "kelly", "--trials", "1", "--json"],
+    ["verify", "--suite", "kelly", "--bogus"],
+    ["--help"],
+    [],
+])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    """The console script calls main() with no argument: it parses
+    sys.argv[1:] by the same route as main(argv)."""
+    monkeypatch.setattr("sys.argv", ["flatkit", *argv])
+    assert_routes_agree(None)
+    outcomes = []
+    for args in (None, argv):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]

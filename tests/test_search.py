@@ -364,14 +364,27 @@ def lines_through_the_base_flat(conductor):
 
 
 @pytest.mark.parametrize("conductor", [1, 3, 4])
-def test_claim1_takes_z_outside_the_base_flat_and_swaps(conductor):
+def test_claim1_takes_z_outside_the_base_flat_and_swaps(conductor,
+                                                        monkeypatch):
     """With a point of every line from F out to the rest planted, the top
     level's two-point line {z, w} takes z outside the base flat F and w
     the second point b of the contracted line, so x and y swap: the
     trace's x lies in F2 and not in F1.  The witness is ordinary on a
-    fresh matroid of the same matrix."""
+    fresh matroid of the same matrix.  The planted points make `simplify`
+    merge parallel classes: M/F's 45 elements into 9 points, and N/L's
+    12 into 4."""
+    merged = []   # (elements in classes, classes) per simplify call
+    simplify = Matroid.simplify
+
+    def spy(self):
+        simple, mapping = simplify(self)
+        merged.append((len(mapping), len(simple.ground)))
+        return simple, mapping
+
+    monkeypatch.setattr(Matroid, "simplify", spy)
     N, F = lines_through_the_base_flat(conductor)
     w, trace = find_ordinary_flat_constructive(N, 3)
+    assert merged == [(45, 9), (12, 4)]
     top = trace.levels[-1]
     assert top.k == 3 and top.contracted_flat == F
     assert top.z not in F
