@@ -286,7 +286,7 @@ def _dump(what, path, text):
     keeps its exit code: its result is already out.  Notices go to
     stderr, so that --json stdout stays one document."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         sys.stderr.write(f"cannot write {path}: {exc.strerror or exc}\n")

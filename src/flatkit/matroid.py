@@ -15,7 +15,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .cyclotomic import (
@@ -69,10 +68,14 @@ MAX_FILE_COLUMN_LENGTH = 144
 _MAX_HEADER_LINE = 256
 
 # Most characters in a label of a matrix file; the longest label flatkit
-# writes has 6, such as `c10.e1`.  A labels line holds at most
-# MAX_FILE_COLUMNS labels, each after one space.
+# writes has 6, such as `c10.e1`.
 MAX_FILE_LABEL = 64
-_MAX_LABELS_LINE = len("labels") + MAX_FILE_COLUMNS * (1 + MAX_FILE_LABEL)
+
+# Most bytes in a file `load_matrix` reads.  The longest file flatkit
+# writes with default parameters, `catalog --export uniform:64,64`, has
+# 186,152, and reading MAX_FILE_BYTES + 1 bytes of a longer file peaks
+# at 0.27 MB under tracemalloc.
+MAX_FILE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -557,33 +560,24 @@ def write_matrix(rep: Representation) -> str:
 
 
 def parse_matrix(text: str) -> Representation:
-    """The matrix of a matrix file.  The sizes are checked against the
-    caps on the size line, before any label or row is read, and then
+    """The matrix of a matrix file.  A line ends at \\n, \\r\\n or \\r.
+    A line up to the size line that is longer than `_MAX_HEADER_LINE` is
+    refused before its fields are read.  The sizes are checked against
+    the caps on the size line, before any label or row is read, and then
     against the rows, or the labels of a file with no rows, before
-    anything is built.  A line ends at \\n, \\r\\n or \\r."""
-    return _parse_lines(part for ln in text.split("\n")
-                        for part in ln.removesuffix("\r").split("\r"))
-
-
-def _parse_lines(raw) -> Representation:
-    """`parse_matrix` on the lines of a file, an iterable read no further
-    than the size line until its caps pass, and no further than the
-    labels line until it passes.  A line up to the size line that is
-    longer than `_MAX_HEADER_LINE` is refused as it is read."""
-    numbered = enumerate(raw, 1)
-    head = []
-    for lineno, ln in numbered:
+    anything is built."""
+    raw = [part for ln in text.split("\n")
+           for part in ln.removesuffix("\r").split("\r")]
+    lines = [(i, ln) for i, ln in enumerate(raw, 1) if ln.strip()]
+    end = lines[1][0] if len(lines) > 1 else len(raw)
+    for lineno, ln in enumerate(raw[:end], 1):
         if len(ln) > _MAX_HEADER_LINE:
             raise MatrixParseError(
                 f"line longer than {_MAX_HEADER_LINE} characters before "
                 "the end of the size line", line=lineno)
-        if ln.strip():
-            head.append((lineno, ln.strip()))
-            if len(head) == 2:
-                break
-    lines = ((i, ln) for i, ln in numbered if ln.strip())
-    if len(head) < 2:
+    if len(lines) < 2:
         raise MatrixParseError("file too short: need conductor and size lines")
+    head, rest = lines[:2], lines[2:]
     lineno, first = head[0]
     parts = first.split()
     # isdecimal, not isdigit: int() refuses a superscript digit such as "³"
@@ -613,14 +607,9 @@ def _parse_lines(raw) -> Representation:
             f"{d} rows at conductor {conductor} make columns of {length} "
             f"integers, above the maximum {MAX_FILE_COLUMN_LENGTH}",
             line=lineno)
-    rest = list(islice(lines, 1))
     labels = None
     if rest and rest[0][1].split()[0] == "labels":
-        lineno, lab = rest.pop()
-        if len(lab.lstrip()) > _MAX_LABELS_LINE:
-            raise MatrixParseError(
-                f"labels line longer than {_MAX_LABELS_LINE} characters",
-                line=lineno)
+        lineno, lab = rest.pop(0)
         labels = tuple(lab.split()[1:])
         if len(labels) != m:
             raise MatrixParseError(
@@ -630,7 +619,6 @@ def _parse_lines(raw) -> Representation:
                 f"label longer than {MAX_FILE_LABEL} characters", line=lineno)
         if len(set(labels)) != m:
             raise MatrixParseError("labels must be unique", line=lineno)
-    rest += lines
     if not m and not rest:
         # a matrix with no columns is written as d blank rows
         if d < 0:
@@ -662,42 +650,17 @@ def _parse_lines(raw) -> Representation:
 
 
 def load_matrix(path) -> Representation:
-    """`parse_matrix` on the file at `path`, read line by line: the rest
-    of a file whose size line is over the caps is not read, and a line up
-    to the labels line no further than `_MAX_LABELS_LINE` + 1 characters
-    past its leading whitespace."""
-    with open(path) as fh:
-        return _parse_lines(_file_lines(fh))
-
-
-def _file_lines(fh):
-    """The lines of the text file `fh`, opened with universal newlines.
-    Up to the size line, a line is read no further than `_MAX_LABELS_LINE`
-    + 1 characters, and so is the next line that is not blank, the labels
-    line or the first matrix row, past its leading whitespace, which is
-    dropped.  A line cut there is given as far as it was read, since
-    `_parse_lines` refuses it, except a matrix row, read to its end."""
-    bound = _MAX_LABELS_LINE + 1
-    header = 0
-    while header < 3:
-        ln = fh.readline(bound)
-        if header == 2:
-            while ln[-1:] not in ("", "\n") and not ln.strip():
-                ln = fh.readline(bound)
-            if ln.strip() and ln[-1] != "\n":
-                ln = ln.lstrip()
-                ln += fh.readline(bound - len(ln))
-                if ln[-1] != "\n" and ln.split()[0] != "labels":
-                    ln += fh.readline()
-        if not ln:
-            return
-        yield ln.rstrip("\n")
-        header += bool(ln.strip())
-    for ln in fh:
-        yield ln.rstrip("\n")
+    """`parse_matrix` on the file at `path`, decoded as UTF-8.  At most
+    `MAX_FILE_BYTES` + 1 bytes are read, once, so a longer file is
+    refused without the rest being read."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise MatrixParseError(f"file longer than {MAX_FILE_BYTES} bytes")
+    return parse_matrix(data.decode("utf-8"))
 
 
 def save_matrix(rep: Representation, path) -> None:
     text = write_matrix(rep)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -15,8 +15,10 @@ from flatkit.catalog import (
     uniform,
     uniform_power,
 )
+from flatkit.cli import main
 from flatkit.errors import MatrixParseError, UsageError
 from flatkit.matroid import (
+    MAX_FILE_BYTES,
     MAX_FILE_COLUMN_LENGTH,
     MAX_FILE_COLUMNS,
     MAX_FILE_CONDUCTOR,
@@ -184,9 +186,15 @@ def test_file_one_over_a_size_cap_is_refused_on_the_size_line(conductor, rows,
     assert exc.value.line == 2
 
 
+# how `load_matrix` refuses a file longer than MAX_FILE_BYTES
+OVER_BYTES = (f"file longer than {MAX_FILE_BYTES} bytes", None)
+
+
 def test_over_cap_file_is_refused_before_the_rest_is_read(tmp_path):
-    """`load_matrix` reads a file line by line, so a file over a size cap
-    is refused on its size line without the rest being read."""
+    """`load_matrix` reads at most MAX_FILE_BYTES + 1 bytes, so a longer
+    file is refused without the rest being read: one over a size cap,
+    which `parse_matrix` refuses on its size line, and one with a valid
+    header and a matrix row of 20 MB, of digits or mostly whitespace."""
     m = MAX_FILE_COLUMNS + 1
     text = (f"conductor 1\nsize 2 {m}\nlabels "
             + " ".join(f"e{j}" for j in range(m)) + "\n"
@@ -195,20 +203,27 @@ def test_over_cap_file_is_refused_before_the_rest_is_read(tmp_path):
     path.write_text(text)
     with pytest.raises(MatrixParseError) as whole:
         parse_matrix(text)
-    tracemalloc.start()
-    try:
-        with pytest.raises(MatrixParseError) as lazy:
-            load_matrix(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (str(lazy.value), lazy.value.line) == (str(whole.value), 2)
-    assert len(text) > 3_000_000 and peak < 1_000_000
+    assert whole.value.line == 2 and len(text) > 3_000_000
+    del text
+    (tmp_path / "digits.mat").write_text(
+        "conductor 1\nsize 1 2\n1 " + "9" * 20_000_000 + "\n")
+    (tmp_path / "blank.mat").write_text(
+        "conductor 1\nsize 1 2\n1" + " " * 20_000_000 + "2\n")
+    for name in ("over.mat", "digits.mat", "blank.mat"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixParseError) as lazy:
+                load_matrix(tmp_path / name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (str(lazy.value), lazy.value.line) == OVER_BYTES, name
+        assert peak < 1_000_000, name
 
 
 def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
-    """`load_matrix` reads a header line no further than its bound, so a
-    size line of 3 MB is refused without being read whole."""
+    """`load_matrix` reads at most MAX_FILE_BYTES + 1 bytes, so a size
+    line of 3 MB is refused without being read whole."""
     path = tmp_path / "long.mat"
     path.write_text("conductor 1\nsize 2 " + "9" * 3_000_000 + "\n1 2\n3 4\n")
     tracemalloc.start()
@@ -218,7 +233,8 @@ def test_long_size_line_is_refused_in_bounded_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert exc.value.line == 2 and peak < 1_000_000
+    assert (str(exc.value), exc.value.line) == OVER_BYTES
+    assert peak < 1_000_000
 
 
 # one matrix file, to be written with each of the three line ends
@@ -227,10 +243,9 @@ ENDS = "conductor 3\nsize 2 2\n\nlabels p q\n1 z\n\nz -1\n"
 
 @pytest.mark.parametrize("indent", [0, 5000])
 def test_long_label_is_refused_in_bounded_memory(tmp_path, indent):
-    """`load_matrix` reads the labels line no further than its bound past
-    its leading whitespace, so a label of 20 million characters is
-    refused without being read whole, as parsing the whole text refuses
-    it."""
+    """`load_matrix` reads at most MAX_FILE_BYTES + 1 bytes, so a label
+    of 20 million characters is refused without being read whole;
+    parsing the whole text refuses it on its line."""
     text = ("conductor 1\nsize 1 2\n" + " " * indent + "labels a "
             + "b" * 20_000_000 + "\n1 2\n")
     path = tmp_path / "label.mat"
@@ -245,7 +260,8 @@ def test_long_label_is_refused_in_bounded_memory(tmp_path, indent):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (str(lazy.value), lazy.value.line) == (str(whole.value), 3)
+    assert whole.value.line == 3
+    assert (str(lazy.value), lazy.value.line) == OVER_BYTES
     assert peak < 1_000_000
 
 
@@ -259,9 +275,9 @@ def test_long_label_is_refused_in_bounded_memory(tmp_path, indent):
     *(ENDS.replace("\n", end) for end in ("\n", "\r\n", "\r")),
 ])
 def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
-    """Reading a file line by line gives the matrix, or the error and its
-    line, that parsing the file's whole text gives; a line ends at \\n,
-    \\r\\n or \\r."""
+    """Loading a file gives the matrix, or the error and its line, that
+    parsing the file's whole text gives; a line ends at \\n, \\r\\n or
+    \\r."""
     path = tmp_path / "m.mat"
     path.write_bytes(text.encode())
     with open(path) as fh:
@@ -278,11 +294,13 @@ def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
             assert parse_matrix(text) == expected == parse_matrix(ENDS)
 
 
-def test_size_caps_admit_every_file_flatkit_writes():
+def test_size_caps_admit_every_file_flatkit_writes(capsys, tmp_path):
     """A catalog export has at most MAX_CATALOG_COLUMNS columns and a
     trial dump at most MAX_TRIAL_COLUMNS, at phi(n) <= 2 and with no more
     rows than columns; a dump of the largest such shape, 72 x 72 over
-    Q(i), reads back."""
+    Q(i), reads back.  The longest export, uniform:64,64, is under
+    MAX_FILE_BYTES and reads back, and so does that file padded with
+    blank lines to MAX_FILE_BYTES; one byte more exits 2."""
     assert MAX_FILE_COLUMNS >= max(MAX_CATALOG_COLUMNS, MAX_TRIAL_COLUMNS)
     m = MAX_TRIAL_COLUMNS
     assert MAX_FILE_COLUMN_LENGTH >= 2 * m
@@ -291,6 +309,28 @@ def test_size_caps_admit_every_file_flatkit_writes():
                     for j in range(m))
     rep = Representation(4, m, tuple(f"e{j + 1}" for j in range(m)), columns)
     assert parse_matrix(write_matrix(rep)) == rep
+    top = uniform(64, 64)
+    path = tmp_path / "top.mat"
+    save_matrix(top, path)
+    assert load_matrix(path) == top
+    with open(path, "ab") as fh:
+        fh.write(b"\n" * (MAX_FILE_BYTES - path.stat().st_size))
+    assert path.stat().st_size == MAX_FILE_BYTES
+    assert load_matrix(path) == top
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: file longer than {MAX_FILE_BYTES} bytes\n")
+
+
+def test_matrix_files_are_utf8(tmp_path):
+    """`save_matrix` writes UTF-8, the encoding `load_matrix` reads."""
+    rep = representation_from_rows([[1, 2]], 1, ["α", "ζ₃"])
+    path = tmp_path / "utf8.mat"
+    save_matrix(rep, path)
+    assert path.read_bytes() == write_matrix(rep).encode("utf-8")
+    assert load_matrix(path) == rep
 
 
 def test_columnless_rows_need_no_row_lines():
