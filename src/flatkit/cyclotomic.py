@@ -2,10 +2,12 @@
 of scalars of Q(zeta_n), and the exact integer rank kernel built on them.
 
 Q is conductor 1, the Eisenstein rationals conductor 3, the Gaussian
-rationals conductor 4.  `CyclotomicNumber` is the immutable value a
+rationals conductor 4.  Phi_n is a monic integer polynomial
+(`cyclotomic_polynomial`), and `_Ring.fold`, its lower terms, is the one
+reduction modulo Phi_n.  `CyclotomicNumber` is the immutable value a
 parsed matrix entry becomes (`parse_scalar`): its coordinates in the
-power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo Phi_n, with
-equality and hashing and no field arithmetic.  A matrix is held as
+power basis 1, zeta, ..., zeta^(phi(n)-1), folded down to that basis,
+with equality and hashing and no field arithmetic.  A matrix is held as
 integer columns (`matroid.Representation`, built by `_integer_column`),
 and every rank question is settled on those by the kernel below.
 
@@ -44,31 +46,6 @@ from math import gcd, lcm
 from .errors import ScalarParseError
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers, little-endian coefficient lists over Fraction
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c == 0:
-            continue
-        q[i] = c
-        for j, bj in enumerate(b):
-            a[i + j] -= c * bj
-    return _trim(q), _trim(a)
-
-
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     count = 0
@@ -82,16 +59,24 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Phi_n as a monic polynomial, computed by dividing x^n - 1 by the
-    cyclotomic polynomials of the proper divisors of n."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n as a monic integer polynomial, little-endian: x^n - 1
+    divided by the cyclotomic polynomials of the proper divisors of n.
+    Each divisor is monic, so the long division stays in the integers;
+    done in place, it leaves the remainder below the divisor's degree
+    and the quotient above."""
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            div = cyclotomic_polynomial(d)
+            deg = len(div) - 1
+            for i in reversed(range(len(num) - deg)):
+                for j, b in enumerate(div[:deg]):
+                    num[i + j] -= num[i + deg] * b
+            assert not any(num[:deg])
+            num = num[deg:]
     return tuple(num)
 
 
@@ -101,12 +86,14 @@ class CyclotomicNumber:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
-            raise ValueError("conductor must be a positive integer")
-        phi = euler_phi(conductor)
+        ring = _ring(conductor)
+        phi = ring.phi
         poly = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(poly) > phi:
-            _, poly = _poly_divmod(poly, list(cyclotomic_polynomial(conductor)))
+        # from the top, zeta^k = zeta^(k-phi) * zeta^phi folds down
+        for k in reversed(range(phi, len(poly))):
+            top = poly.pop()
+            for j, c in ring.fold:
+                poly[k - phi + j] -= c * top
         poly += [Fraction(0)] * (phi - len(poly))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(poly))
@@ -167,8 +154,7 @@ def parse_scalar(text: str, conductor: int) -> CyclotomicNumber:
 
     Exponents are reduced mod n first, which is exact because zeta^n = 1,
     so the work does not grow with the exponent."""
-    if conductor < 1:
-        raise ValueError("conductor must be a positive integer")
+    _ring(conductor)  # refuses a conductor below 1
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ScalarParseError("empty scalar token")
@@ -206,10 +192,14 @@ class _Ring:
     entry-major: entry i is the slice [i*phi, (i+1)*phi), its
     coefficients of 1, zeta, ..., zeta^(phi-1).  An element is a vector
     of one entry.  `times` (an element times a vector) is its only
-    product, and `_times_zeta` its only reduction modulo the monic
-    integer Phi_n, so nothing is divided.  `adj` maps an element through
-    the Galois matrices, built once per ring.  At phi = 2 the kernel
-    takes adj(a) * v in one closed form, `_times_conjugate`.
+    product.  Phi_n is monic with integer coefficients, and `fold`
+    holds (j, c) for each nonzero c of its terms c zeta^j below the top,
+    so that zeta^phi is minus their sum.  It is the package's one
+    reduction modulo Phi_n: `_times_zeta` folds through it, and so does
+    `CyclotomicNumber` for a coefficient list longer than phi.  Nothing
+    is divided.  `adj` maps an element through the Galois matrices,
+    built once per ring.  At phi = 2 the kernel takes adj(a) * v in one
+    closed form, `_times_conjugate`.
     """
 
     __slots__ = ("n", "phi", "low", "fold", "galois")
@@ -219,7 +209,7 @@ class _Ring:
         self.n = n
         self.phi = phi = len(poly) - 1
         # zeta^phi = -(sum of the lower terms of Phi_n)
-        self.low = tuple(int(c) for c in poly[:-1])
+        self.low = poly[:-1]
         self.fold = tuple((j, c) for j, c in enumerate(self.low) if c)
         powers = [[1] + [0] * (phi - 1)]
         for _ in range(n - 1):

@@ -10,7 +10,8 @@ class UsageError(FlatkitError):
 
 
 class ConductorMismatchError(UsageError):
-    """Arithmetic attempted between scalars of different conductors."""
+    """An entry or a direct summand is of another conductor than the
+    matrix it is put into."""
 
 
 class ScalarParseError(FlatkitError):

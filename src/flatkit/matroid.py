@@ -539,7 +539,8 @@ class Matroid:
 def write_matrix(rep: Representation) -> str:
     """The matrix file of `rep`.  The labels line is split on whitespace
     when read, so a label that is empty or holds whitespace is refused,
-    and so is one longer than `MAX_FILE_LABEL`."""
+    and so is one longer than `MAX_FILE_LABEL`, or a file longer than
+    `MAX_FILE_BYTES` in UTF-8: none of them would read back."""
     for label in rep.labels:
         if len(label) > MAX_FILE_LABEL:
             raise UsageError(f"a label of {len(label)} characters cannot be "
@@ -556,7 +557,11 @@ def write_matrix(rep: Representation) -> str:
              "labels " + " ".join(rep.labels)]
     for i in range(rep.rows):
         lines.append(" ".join(col[i] for col in cells))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if len(text.encode("utf-8")) > MAX_FILE_BYTES:
+        raise UsageError("the matrix file would be longer than "
+                         f"{MAX_FILE_BYTES} bytes, the most that is read")
+    return text
 
 
 def parse_matrix(text: str) -> Representation:

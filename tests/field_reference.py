@@ -1,5 +1,5 @@
 """Field arithmetic in Q(zeta_n) for the tests: the reference that the
-integer rank kernel of `flatkit.matroid` is checked against.
+integer rank kernel of `flatkit.cyclotomic` is checked against.
 
 `flatkit.cyclotomic.CyclotomicNumber` is only the value a parsed matrix
 entry becomes; the package computes on integer columns and has no field
@@ -10,17 +10,35 @@ tests; the test modules import it.
 
 from fractions import Fraction
 
-from flatkit.cyclotomic import (
-    CyclotomicNumber,
-    _poly_divmod,
-    _trim,
-    cyclotomic_polynomial,
-)
+from flatkit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from flatkit.errors import ConductorMismatchError
 
 
 # ---------------------------------------------------------------------------
 # polynomial helpers, little-endian coefficient lists over Fraction
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    # Phi_n has int coefficients, and int / int would be a float
+    a = [Fraction(c) for c in a]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / lead
+        if c == 0:
+            continue
+        q[i] = c
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return _trim(q), _trim(a)
+
 
 def _poly_mul(a, b):
     if not a or not b:

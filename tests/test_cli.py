@@ -665,6 +665,28 @@ def test_verify_corollary_recheck_failure_exit_4(capsys, monkeypatch,
     assert f"dumped failing instance to {stem}.mat" in err
 
 
+def test_verify_corollary_without_a_flat_exit_4(capsys, monkeypatch,
+                                                tmp_path):
+    """A corollary trial in which no elementary flat is found fails
+    without a recheck: exit 4, and the instance dumped reads back."""
+    from flatkit.catalog import trial_instances
+    from flatkit.matroid import load_matrix
+
+    monkeypatch.setattr(cli, "find_elementary_flat",
+                        lambda M, k, budget=None: None)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "corollary", "--k",
+                         "2", "--trials", "1")
+    assert code == 4
+    assert out.startswith("trial seed=0 exhausted (")
+    assert out.endswith("\n0/1 pass\n")
+    stem = "failure-corollary-k2-seed0"
+    assert os.listdir(tmp_path) == [stem + ".mat"]
+    assert err == f"dumped failing instance to {stem}.mat\n"
+    _, M = next(trial_instances(4, 1, 0, 1, (8, 10)))
+    assert load_matrix(tmp_path / (stem + ".mat")) == M.to_representation()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "random:1,3,4,0"],
     ["analyze", "random:-2,-1,1,0"],

@@ -128,7 +128,22 @@ def test_zeta_primitivity(n):
     (12, [1, 0, -1, 0, 1]),
 ])
 def test_cyclotomic_polynomials(n, expected):
-    assert list(cyclotomic_polynomial(n)) == [Fraction(c) for c in expected]
+    poly = cyclotomic_polynomial(n)
+    assert list(poly) == expected
+    assert all(type(c) is int for c in poly)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("build", [
+    cyclotomic_polynomial,
+    lambda n: CyclotomicNumber(n, [1]),
+    lambda n: parse_scalar("1", n),
+], ids=["cyclotomic_polynomial", "CyclotomicNumber", "parse_scalar"])
+def test_conductor_below_one_is_refused(build, n):
+    # one check, in cyclotomic_polynomial, which the other two reach first
+    with pytest.raises(ValueError, match="^conductor must be a positive "
+                                         "integer$"):
+        build(n)
 
 
 def test_canonical_form_idempotence():

@@ -324,6 +324,30 @@ def test_size_caps_admit_every_file_flatkit_writes(capsys, tmp_path):
         f"parse error: file longer than {MAX_FILE_BYTES} bytes\n")
 
 
+def test_export_that_would_not_read_back_is_refused(capsys, tmp_path):
+    """`write_matrix` refuses a file longer than MAX_FILE_BYTES, which
+    `load_matrix` would refuse, so such an export exits 3 and writes no
+    file, while uniform:64,64 still exports.  No trial or search dump
+    reaches the refusal: its largest shape, 72 x 72 over Q(i) with every
+    coordinate as long as one drawn within the default bound 10 prints
+    (-10/3), is under a quarter of the cap."""
+    path = tmp_path / "r.mat"
+    ref = f"random:2,64,1,0,{10 ** 1100}"
+    assert main(["catalog", "--export", ref, str(path)]) == 3
+    assert not path.exists()
+    assert capsys.readouterr().err == (
+        f"error: the matrix file would be longer than {MAX_FILE_BYTES} "
+        "bytes, the most that is read\n")
+    assert main(["catalog", "--export", "uniform:64,64", str(path)]) == 0
+    assert load_matrix(path) == uniform(64, 64)
+    m = MAX_TRIAL_COLUMNS
+    text = write_matrix(Representation(
+        4, m, tuple(f"e{j + 1}" for j in range(m)),
+        ((3, (-10,) * (2 * m)),) * m))
+    assert text.split("\n")[3].split()[0] == "-10/3-10/3z"
+    assert 4 * len(text.encode("utf-8")) < MAX_FILE_BYTES
+
+
 def test_matrix_files_are_utf8(tmp_path):
     """`save_matrix` writes UTF-8, the encoding `load_matrix` reads."""
     rep = representation_from_rows([[1, 2]], 1, ["α", "ζ₃"])
