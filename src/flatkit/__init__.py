@@ -17,7 +17,6 @@ from .search import (
     ConstructionTrace,
     OrdinaryWitness,
     SearchReport,
-    SearchStats,
     find_elementary_flat,
     find_elementary_flat_brute,
     find_ordinary_flat_brute,

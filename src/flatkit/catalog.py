@@ -76,6 +76,12 @@ SUPPORTED_CONDUCTORS = (1, 3, 4)
 # Draws the generator makes before it gives up on a shape.
 MAX_TRIES = 1000
 
+# Largest `bound` the generator draws within.  The time grows with it:
+# `analyze random:64,64,4,0,b` takes 7.5 s at b = 10, 27.1 s at 20 and
+# 181 s at 100, and had not finished after 890 s at 1000 (one run each,
+# 2-vCPU VM, Python 3.11.7).
+MAX_BOUND = 10
+
 
 def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
                     bound: int = 10) -> Representation:
@@ -83,7 +89,8 @@ def random_instance(d: int, m: int, conductor: int = 1, seed: int = 0,
     full rank d; basis coordinates are rationals randint(-bound, bound) /
     randint(1, bound), drawn and tested as integer columns.  A shape no
     simple matroid has (a negative rank, rank 0 with an element, rank 1
-    with two) is refused before any draw."""
+    with two), or a bound outside 1..MAX_BOUND, is refused before any
+    draw."""
     return _random_matroid(d, m, conductor, seed, bound).to_representation()
 
 
@@ -100,6 +107,8 @@ def _random_matroid(d, m, conductor, seed, bound=10):
         raise UsageError(f"conductor must be one of {SUPPORTED_CONDUCTORS}")
     if bound < 1:
         raise UsageError(f"bound must be at least 1, got {bound}")
+    if bound > MAX_BOUND:
+        raise UsageError(f"bound must be at most {MAX_BOUND}, got {bound}")
     rng = random.Random(seed)
     labels = tuple(f"e{i + 1}" for i in range(m))
     for _ in range(MAX_TRIES):

@@ -35,7 +35,6 @@ from .matroid import (
 from .search import (
     CONJECTURE_RANK,
     SearchReport,
-    SearchStats,
     conjecture_instances,
     find_elementary_flat,
     find_ordinary_flat_brute,
@@ -141,53 +140,51 @@ def cmd_analyze(args) -> int:
     return EXIT_FOUND
 
 
-def _emit_find(args, payload):
+def _emit_find(args, mode, witness, trace=None) -> int:
+    """Print a find command's answer, with --json as one document, and
+    return its exit code.  `witness` is an OrdinaryWitness, a Flat or
+    None; `trace`, the constructive search's, is printed with --trace."""
+    if not witness:
+        wd = None
+    elif isinstance(witness, Flat):
+        wd = {"flat": list(witness.elements)}
+    else:
+        wd = witness.to_json_dict()
+    payload = {"mode": mode, "k": args.k,
+               "outcome": "witness found" if wd else "exhausted",
+               "witness": wd}
+    if trace is not None and args.trace:
+        payload["trace"] = trace.to_json_dict()
     if args.json:
         _print(json.dumps(payload))
-        return
-    if payload["outcome"] != "witness found":
+    elif wd is None:
         _print(payload["outcome"])
-        return
-    w = payload["witness"]
-    _print(f"flat: {{{', '.join(w['flat'])}}}")
-    if w.get("point"):
-        _print(f"  point:      {{{', '.join(w['point'])}}}")
-        _print(f"  complement: {{{', '.join(w['complement'])}}}")
-    if payload.get("trace"):
-        for lv in payload["trace"]["levels"]:
+    else:
+        _print(f"flat: {{{', '.join(wd['flat'])}}}")
+        if wd.get("point"):
+            _print(f"  point:      {{{', '.join(wd['point'])}}}")
+            _print(f"  complement: {{{', '.join(wd['complement'])}}}")
+        for lv in payload["trace"]["levels"] if "trace" in payload else ():
             fields = [f"{name}={lv[name]}" for name in "xyzw"
                       if lv[name] is not None]
             fields.append(f"output={{{', '.join(lv['output'])}}}")
             _print(f"  level k={lv['k']}: {' '.join(fields)}")
+    return EXIT_FOUND if wd else EXIT_NONE
 
 
 def cmd_find_ordinary(args) -> int:
-    rep = _load_input(args.input)
-    M = Matroid(rep)
-    trace = None
-    if args.method == "constructive":
-        w, trace = find_ordinary_flat_constructive(
-            M, args.k, budget=args.budget)
-    else:
-        w = find_ordinary_flat_brute(M, args.k, budget=args.budget)
-    payload = {"mode": args.method, "k": args.k,
-               "outcome": "witness found" if w else "exhausted",
-               "witness": w.to_json_dict() if w else None}
-    if args.trace and trace is not None:
-        payload["trace"] = trace.to_json_dict()
-    _emit_find(args, payload)
-    return EXIT_FOUND if w else EXIT_NONE
+    M = Matroid(_load_input(args.input))
+    if args.method == "brute":
+        return _emit_find(args, "brute", find_ordinary_flat_brute(
+            M, args.k, budget=args.budget))
+    return _emit_find(args, "constructive", *find_ordinary_flat_constructive(
+        M, args.k, budget=args.budget))
 
 
 def cmd_find_elementary(args) -> int:
-    rep = _load_input(args.input)
-    M = Matroid(rep)
-    flat = find_elementary_flat(M, args.k, budget=args.budget)
-    payload = {"mode": "elementary", "k": args.k,
-               "outcome": "witness found" if flat else "exhausted",
-               "witness": {"flat": list(flat.elements)} if flat else None}
-    _emit_find(args, payload)
-    return EXIT_FOUND if flat else EXIT_NONE
+    M = Matroid(_load_input(args.input))
+    return _emit_find(args, "elementary",
+                      find_elementary_flat(M, args.k, budget=args.budget))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def cmd_verify(args) -> int:
     rank = suite_rank(k)
     cols = ((args.cols, args.cols) if args.cols is not None
             else (rank + 4, rank + 6))
-    reports = []
+    trials = []  # (report, wall ms) per trial
     failures = []
     for s, M in cat.trial_instances(rank, args.trials, args.seed,
                                     args.conductor, cols):
@@ -254,27 +251,24 @@ def cmd_verify(args) -> int:
             # a failed theorem check ends the run; leave what replays it
             _dump_failure(args.suite, k, s, M, exc.trace)
             raise
-        stats = SearchStats(rank_calls=M.rank_calls - rank_calls,
-                            flats_enumerated=M.flats_formed - flats,
-                            ms=(time.perf_counter() - t0) * 1000)
-        reports.append(SearchReport(
+        trials.append((SearchReport(
             mode="verify", seed=s, conductor=args.conductor, rank=rank, k=k,
-            outcome="witness found" if ok else "exhausted",
-            witness=witness, stats=stats))
+            outcome="witness found" if ok else "exhausted", witness=witness,
+            rank_calls=M.rank_calls - rank_calls,
+            flats_enumerated=M.flats_formed - flats),
+            (time.perf_counter() - t0) * 1000))
         if not ok:
             failures.append((s, M))
     if args.json:
         doc = {"suite": args.suite, "k": k, "trials": args.trials,
                "seed": args.seed, "conductor": args.conductor,
-               "reports": [r.to_json_dict() for r in reports]}
+               "reports": [r.to_json_dict() for r, _ in trials]}
         _print(json.dumps(doc))
     else:
-        passed = sum(1 for r in reports if r.outcome == "witness found")
-        for r in reports:
+        for r, ms in trials:
             _print(f"trial seed={r.seed} {r.outcome} "
-                   f"({r.stats.rank_calls} rank calls, "
-                   f"{r.stats.ms:.0f} ms)")
-        _print(f"{passed}/{args.trials} pass")
+                   f"({r.rank_calls} rank calls, {ms:.0f} ms)")
+        _print(f"{len(trials) - len(failures)}/{args.trials} pass")
     for s, M in failures:
         _dump_failure(args.suite, k, s, M)
     return EXIT_VERIFY_FAIL if failures else EXIT_FOUND
@@ -316,8 +310,8 @@ def cmd_search(args) -> int:
     else:
         _print(f"conjecture {args.conjecture}, k={args.k}, "
                f"rank {report.rank}: {report.mode} / {report.outcome} "
-               f"({report.stats.flats_enumerated} flats, "
-               f"{report.stats.rank_calls} rank calls)")
+               f"({report.flats_enumerated} flats, "
+               f"{report.rank_calls} rank calls)")
     name = f"c{args.conjecture}-k{args.k}-seed{report.seed}.mat"
     if report.mode == "counterexample":
         _dump("counterexample", "counterexample-" + name,

@@ -68,16 +68,11 @@ class ConstructionTrace:
 
 
 @dataclass
-class SearchStats:
-    """Work on a trial matroid and its minors, read off its meter."""
-
-    rank_calls: int = 0
-    flats_enumerated: int = 0
-    ms: float = 0.0
-
-
-@dataclass
 class SearchReport:
+    """One search's answer: what `to_json_dict` writes, and the instance
+    a stopped search stopped on.  The counts are the work on the searched
+    matroids and their minors, read off their meters."""
+
     mode: str        # "verify" | "counterexample"
     seed: int
     conductor: int
@@ -85,12 +80,14 @@ class SearchReport:
     k: int
     outcome: str     # "witness found" | "exhausted" | "budget exceeded"
     witness: object = None   # OrdinaryWitness | Flat | None
-    stats: SearchStats = field(default_factory=SearchStats)
-    instance: Representation = None  # the instance the search stopped on
+    rank_calls: int = 0
+    flats_enumerated: int = 0
+    instance: Representation = None
 
     def to_json_dict(self) -> dict:
-        """The report as a JSON document.  `ms` is written as 0.0 so that
-        the document is a pure function of the inputs."""
+        """The report as a JSON document.  Its `stats` object keeps an
+        `ms` of 0.0, a constant of the schema: the document is a pure
+        function of the inputs."""
         w = self.witness
         if w is None:
             wd = None
@@ -107,8 +104,8 @@ class SearchReport:
             "outcome": self.outcome,
             "witness": wd,
             "stats": {
-                "rank_calls": self.stats.rank_calls,
-                "flats_enumerated": self.stats.flats_enumerated,
+                "rank_calls": self.rank_calls,
+                "flats_enumerated": self.flats_enumerated,
                 "ms": 0.0,
             },
         }
@@ -421,13 +418,12 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
     if k < 2:
         raise UsageError("conjectures are stated for k >= 2")
     need = CONJECTURE_RANK[conjecture](k)
-    total = SearchStats()
-    base_seed = None
-    conductor = None
+    report = None  # the first instance's, summing every instance's work
     for seed, M in instances:
-        if base_seed is None:
-            base_seed = seed
-            conductor = M.conductor
+        if report is None:
+            report = SearchReport(mode="verify", seed=seed,
+                                  conductor=M.conductor, rank=need, k=k,
+                                  outcome="witness found")
         if M.rank() != need or not M.is_simple():
             raise UsageError(
                 f"generator produced rank-{M.rank()} instance; conjecture "
@@ -441,16 +437,14 @@ def search_conjecture_counterexample(instances, conjecture: int, k: int,
             stop = None if got else ("counterexample", "exhausted")
         except BudgetExceededError:
             stop = ("verify", "budget exceeded")
-        total.rank_calls += M.rank_calls - rank_calls
-        total.flats_enumerated += M.flats_formed - flats
+        report.rank_calls += M.rank_calls - rank_calls
+        report.flats_enumerated += M.flats_formed - flats
         if stop:
-            mode, outcome = stop
-            return SearchReport(
-                mode=mode, seed=seed, conductor=M.conductor, rank=need, k=k,
-                outcome=outcome, stats=total, instance=M.to_representation())
-    if base_seed is None:
+            report.mode, report.outcome = stop
+            report.seed, report.conductor = seed, M.conductor
+            report.instance = M.to_representation()
+            return report
+    if report is None:
         raise UsageError("no instance to search: at least one trial is "
                          "needed")
-    return SearchReport(
-        mode="verify", seed=base_seed, conductor=conductor,
-        rank=need, k=k, outcome="witness found", stats=total)
+    return report

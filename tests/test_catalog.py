@@ -18,6 +18,7 @@ from flatkit.catalog import (
     random_instance,
     trial_instances,
     uniform,
+    uniform_power,
 )
 from flatkit.cyclotomic import CyclotomicNumber, _integer_column, euler_phi
 from flatkit.errors import GenerationError, UsageError
@@ -204,6 +205,29 @@ def test_random_instance_param_checks():
         random_instance(5, 4)
     with pytest.raises(UsageError):
         random_instance(2, 4, conductor=7)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("build, name", [
+    (ag23_power, "ag23_power"),
+    (lambda t: uniform_power(2, 3, t), "uniform_power")])
+def test_powers_refuse_fewer_than_one_copy(build, name, t):
+    with pytest.raises(UsageError, match=f"^{name} requires t >= 1$"):
+        build(t)
+
+
+@pytest.mark.parametrize("bound", [0, 11, 10 ** 1100],
+                         ids=["0", "11", "10^1100"])
+def test_random_instance_refuses_a_bound_outside_1_to_10(monkeypatch, bound):
+    """The draw time grows with the bound, so a bound above MAX_BOUND is
+    refused, like one below 1, before any draw."""
+    assert catalog.MAX_BOUND == 10
+    drawn = []
+    monkeypatch.setattr(catalog, "_draw_columns",
+                        lambda *args: drawn.append(args))
+    with pytest.raises(UsageError, match="^bound must be at"):
+        random_instance(2, 3, bound=bound)
+    assert drawn == []
 
 
 def test_random_instance_rejection_limit():

@@ -399,6 +399,28 @@ def test_internal_inconsistency_exit_4(capsys, monkeypatch, tmp_path):
     assert set(start.glob("failure-*")) == litter
 
 
+def test_rank_4_without_a_two_point_line_exit_4(capsys, monkeypatch,
+                                                 tmp_path):
+    """`find_two_point_line`'s own check: with every closure planted as
+    the whole ground set no pair closes to two points, and at rank 4 that
+    is impossible for a matrix, so the kelly suite exits 4."""
+    from flatkit.matroid import Flat, Matroid
+
+    def whole(M, *args):
+        return Flat(M.ground, M.rank())
+
+    monkeypatch.setattr(Matroid, "closure", whole)
+    monkeypatch.setattr(Matroid, "_closure", whole)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--suite", "kelly", "--trials", "1")
+    assert code == 4 and out == ""
+    assert err.splitlines() == [
+        "dumped failing instance to failure-kelly-k2-seed0.mat",
+        "internal inconsistency: rank >= 4 with no two-point line: "
+        "impossible for matrix-defined input, so some rank computation is "
+        "wrong"]
+
+
 def test_verify_dumps_instance_and_trace_on_failed_theorem_check(
         capsys, monkeypatch, tmp_path):
     from flatkit.catalog import trial_instances
@@ -738,7 +760,7 @@ def test_file_conductor_above_bound_exit_2(capsys, tmp_path):
 def test_file_conductor_superscript_digit_exit_2(capsys, tmp_path):
     """A superscript digit passes str.isdigit but not int()."""
     path = tmp_path / "sup.mat"
-    path.write_text("conductor ³\nsize 1 1\n1\n")
+    path.write_text("conductor ³\nsize 1 1\n1\n", encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err == "parse error: expected 'conductor <n>' (line 1)\n"
@@ -770,6 +792,26 @@ def test_catalog_export_unwritable_path_exit_3(capsys, tmp_path):
 def test_random_ref_bound_below_1_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "random:4,8,1,0,0")
     assert code == 3 and err.startswith("error: bound must be at least 1")
+
+
+@pytest.mark.parametrize("bound", [11, 1000, 10 ** 1100],
+                         ids=["11", "1000", "10^1100"])
+def test_random_ref_bound_above_10_exit_3(capsys, bound):
+    """The draw time grows with the bound (`analyze random:64,64,4,0,100`
+    takes minutes), so a bound above 10 is refused; 10 itself is drawn."""
+    code, out, err = run(capsys, "analyze", f"random:4,8,1,0,{bound}")
+    assert code == 3 and out == ""
+    assert err == f"error: bound must be at most 10, got {bound}\n"
+    code, out, _ = run(capsys, "analyze", "random:4,8,1,0,10")
+    assert code == 0 and out.startswith("rank 4, 8 elements")
+
+
+@pytest.mark.parametrize("ref, name", [("ag23_power:0", "ag23_power"),
+                                       ("uniform_power:2,3,0", "uniform_power")])
+def test_power_ref_with_no_copy_exit_3(capsys, ref, name):
+    code, out, err = run(capsys, "analyze", ref)
+    assert code == 3 and out == ""
+    assert err == f"error: {name} requires t >= 1\n"
 
 
 def test_random_ref_cannot_set_the_draw_limit(capsys):
@@ -977,7 +1019,7 @@ def test_cli_fuzz_documented_exit_codes(argv, text):
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # the CLI writes exports and failure dumps here
         try:
-            Path(MATRIX_FILE).write_text(text)
+            Path(MATRIX_FILE).write_text(text, encoding="utf-8")
             code, out = exit_code(argv)
         finally:
             os.chdir(cwd)

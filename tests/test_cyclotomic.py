@@ -102,6 +102,14 @@ def test_embed():
     assert num("5/7", 1).coeffs == (Fraction(5, 7),)
 
 
+def test_cyclotomic_number_is_immutable_and_unequal_to_other_types():
+    x = CyclotomicNumber(3, [1])
+    with pytest.raises(AttributeError, match="^CyclotomicNumber is immut"):
+        x.coeffs = (2, 0)
+    assert x == CyclotomicNumber(3, [1, 0])
+    assert x != 1 and x != (1,) and not x == "1"
+
+
 def test_conductor_mismatch_rejected():
     with pytest.raises(ConductorMismatchError):
         zeta(3) + zeta(4)

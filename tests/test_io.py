@@ -280,7 +280,7 @@ def test_load_matrix_splits_lines_as_parse_matrix_does(tmp_path, text):
     \\r."""
     path = tmp_path / "m.mat"
     path.write_bytes(text.encode())
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         whole = fh.read()
     try:
         expected = parse_matrix(whole)
@@ -324,22 +324,26 @@ def test_size_caps_admit_every_file_flatkit_writes(capsys, tmp_path):
         f"parse error: file longer than {MAX_FILE_BYTES} bytes\n")
 
 
-def test_export_that_would_not_read_back_is_refused(capsys, tmp_path):
+def test_export_that_would_not_read_back_is_refused(tmp_path):
     """`write_matrix` refuses a file longer than MAX_FILE_BYTES, which
-    `load_matrix` would refuse, so such an export exits 3 and writes no
-    file, while uniform:64,64 still exports.  No trial or search dump
-    reaches the refusal: its largest shape, 72 x 72 over Q(i) with every
-    coordinate as long as one drawn within the default bound 10 prints
-    (-10/3), is under a quarter of the cap."""
+    `load_matrix` would refuse, so `save_matrix` writes no file.  No CLI
+    path reaches the refusal: the longest catalog export, uniform:64,64,
+    still exports, and a random one, drawn within the largest bound 10,
+    is shorter.  Nor does a trial or search dump: its largest shape,
+    72 x 72 over Q(i) with every coordinate as long as one drawn within
+    bound 10 prints (-10/3), is under a quarter of the cap."""
     path = tmp_path / "r.mat"
-    ref = f"random:2,64,1,0,{10 ** 1100}"
-    assert main(["catalog", "--export", ref, str(path)]) == 3
+    rep = representation_from_rows([[10 ** 1100] * 64] * 4, 1)
+    with pytest.raises(UsageError) as refused:
+        save_matrix(rep, path)
+    assert str(refused.value) == (
+        f"the matrix file would be longer than {MAX_FILE_BYTES} bytes, the "
+        "most that is read")
     assert not path.exists()
-    assert capsys.readouterr().err == (
-        f"error: the matrix file would be longer than {MAX_FILE_BYTES} "
-        "bytes, the most that is read\n")
     assert main(["catalog", "--export", "uniform:64,64", str(path)]) == 0
     assert load_matrix(path) == uniform(64, 64)
+    assert len(path.read_bytes()) == 186152
+    assert len(write_matrix(random_instance(64, 64, 4))) < 186152
     m = MAX_TRIAL_COLUMNS
     text = write_matrix(Representation(
         4, m, tuple(f"e{j + 1}" for j in range(m)),

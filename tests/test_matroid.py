@@ -281,6 +281,15 @@ def test_contract_nonflat_rejected():
         M.contract(Flat(("e1", "e2"), 2))  # closure adds e3
 
 
+def test_contract_and_flats_of_rank_refuse_loops():
+    M = Matroid(representation_from_rows([[1, 0, 1], [0, 0, 1]], 1))
+    assert M.loops() and M.rank() == 2  # e2 is the zero column
+    with pytest.raises(UsageError, match="^contraction requires a loopless"):
+        M.contract(M.closure(["e1"]))
+    with pytest.raises(UsageError, match="^flats_of_rank requires a loopless"):
+        next(M.flats_of_rank(1))
+
+
 def test_contraction_flat_correspondence():
     # flats of M/C of rank k <-> flats F with C ⊆ F of rank r(C)+k in M
     M = Matroid(ag23())
@@ -312,6 +321,11 @@ def test_two_lines_direct_sum():
 def test_direct_sum_conductor_mismatch():
     with pytest.raises(ConductorMismatchError):
         direct_sum(uniform(2, 3), ag23())
+
+
+def test_direct_sum_refuses_shared_labels():
+    with pytest.raises(UsageError, match="^direct summands share labels"):
+        direct_sum(uniform(2, 3), uniform(1, 2))
 
 
 def test_direct_sum_empty_identity():
@@ -356,9 +370,9 @@ def test_empty_ground_set_is_legal():
 @pytest.mark.parametrize("labels, columns", [
     (("a",), ((0, (1, 2)),)), (("a",), ((-1, (1, 2)),)),
     (("a",), ((2, (2, 4)),)), (("a",), ((1, (1, 2, 3)),)),
-    (("a", "a"), ((1, (1, 0)), (1, (0, 1))))],
+    (("a", "a"), ((1, (1, 0)), (1, (0, 1)))), (("a", "b"), ((1, (1, 2)),))],
     ids=["den-0", "den-negative", "not-in-lowest-terms", "wrong-length",
-         "duplicate-labels"])
+         "duplicate-labels", "fewer-columns-than-labels"])
 def test_representation_rejects_a_noncanonical_record(labels, columns):
     with pytest.raises(UsageError):
         Representation(1, 2, labels, columns)
@@ -375,6 +389,11 @@ def test_representation_is_the_integer_columns():
     assert representation_from_rows([[w, 1]], 3) == Representation(
         3, 1, ("e1", "e2"), ((2, (0, 1)), (1, (1, 0))))
     assert Matroid(rep).to_representation() == rep
+
+
+def test_representation_from_rows_checks_the_row_length():
+    with pytest.raises(UsageError, match="^row length does not match "):
+        representation_from_rows([[1, 2], [3]], 1)
 
 
 def test_representation_from_rows_checks_the_conductor():

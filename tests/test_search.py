@@ -112,6 +112,37 @@ def test_is_ordinary_rejects_nonflat():
     assert is_ordinary(M, Flat(line.elements, 3)) is None
 
 
+def test_is_ordinary_refuses_loops_and_rank_0():
+    looped = Matroid(representation_from_rows([[1, 0, 1], [0, 0, 1]], 1))
+    with pytest.raises(UsageError, match="^is_ordinary requires a loopless"):
+        is_ordinary(looped, Flat(("e2",), 0))
+    M = Matroid(uniform(2, 3))
+    with pytest.raises(UsageError, match=r"^ordinary flats have rank >= 1$"):
+        is_ordinary(M, M.closure([]))
+
+
+def parallel_pair():
+    """Rank 4 on six elements, e6 = 2 e1: loopless but not simple."""
+    return Matroid(representation_from_rows(
+        [[1, 0, 0, 0, 1, 2], [0, 1, 0, 0, 1, 0],
+         [0, 0, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0]], 1))
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda M: find_ordinary_flat_brute(M, 2), "brute search requires"),
+    (lambda M: find_elementary_flat_brute(M, 2), "brute search requires"),
+    (lambda M: find_ordinary_flat_constructive(M, 2),
+     "constructive search requires"),
+    (lambda M: find_elementary_flat(M, 2), "find_elementary_flat requires")],
+    ids=["ordinary-brute", "elementary-brute", "constructive",
+         "elementary"])
+def test_searches_refuse_a_non_simple_matroid(search, message):
+    M = parallel_pair()
+    assert M.is_loopless() and not M.is_simple()
+    with pytest.raises(UsageError, match=f"^{message} a simple matroid$"):
+        search(M)
+
+
 def test_is_elementary():
     M2 = Matroid(uniform(2, 2))
     line = M2.closure(M2.ground)
@@ -485,6 +516,9 @@ def test_elementary_k_above_the_rank_is_refused():
         with pytest.raises(UsageError,
                            match=rf"^k={k} out of range 1\.\.{k - 1}$"):
             find_elementary_flat(M, k)
+    for k in (0, -1):
+        with pytest.raises(UsageError, match="^k must be at least 1$"):
+            find_elementary_flat(Matroid(ag23()), k)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -549,6 +583,8 @@ def test_under_rank_instance_rejected():
     # an empty stream has no instance to vouch for a witness
     with pytest.raises(UsageError):
         search_conjecture_counterexample([], 1, 2)
+    with pytest.raises(UsageError, match="^conjecture must be 1 or 2$"):
+        search_conjecture_counterexample([(0, Matroid(ag23()))], 3, 2)
 
 
 def test_report_serialization_shape():
